@@ -414,8 +414,20 @@ class QuantumNASVQEPipeline:
 
         if verbose:
             print("[quantumnas] stage 3: SubCircuit training from scratch")
+        # parameter-shift training runs under the device noise model on the
+        # searched mapping (exact density simulation unless vqe_train.shots
+        # asks for sampling); the adjoint default ignores both arguments
         model, result = train_subcircuit_vqe(
-            self.supercircuit, best_config, self.molecule, self.config.vqe_train
+            self.supercircuit, best_config, self.molecule, self.config.vqe_train,
+            backend=QuantumBackend(
+                self.device,
+                shots=0,
+                seed=self.config.seed,
+                max_density_qubits=self.config.estimator.max_density_qubits,
+                transpile_cache=self.estimator.transpile_cache,
+                parametric_cache=self.estimator.parametric_transpile_cache,
+            ),
+            initial_layout=best_mapping,
         )
         weights = result.weights
         noise_free_energy = model.energy(weights)

@@ -27,9 +27,13 @@ ParametricCompiledCircuit` — layout, routing, decomposition and the
 value-agnostic optimization passes run per structure, and each validation
 sample's angles are filled into the compiled template in O(params) through
 the :class:`ParametricTranspileCache` (structure-keyed, with a short list of
-witness variants and the bound-key cache as exact fallback for bindings that
-cross a compile-time branch).  ``EstimatorConfig.parametric_transpile=False``
-replays the PR-2 bound-key path exactly.
+witness variants).  A forward-pass binding that crosses a compile-time branch
+of every variant falls back to the bound-key cache; parameter-shift rows
+never do — :meth:`ParametricTranspileCache.bind_rows` serves each from a
+template variant of its own branch pattern (its docstring gives why the
+result stays a pure function of the row).
+``EstimatorConfig.parametric_transpile=False`` replays the PR-2 bound-key
+path exactly.
 
 **LRU transpilation cache.**  Compilations are memoized by (bound-circuit
 fingerprint, device, initial layout, optimization level, pinned seed).

@@ -29,6 +29,7 @@ from ..devices.library import Device
 from ..quantum.circuit import ParameterizedCircuit, QuantumCircuit
 from ..transpile.compiler import CompiledCircuit, transpile
 from ..transpile.parametric import (
+    ParametricBindMismatch,
     ParametricCompiledCircuit,
     TemplateBatchBinding,
     _default_witness,
@@ -231,9 +232,10 @@ class ParametricCacheStats(MergeableStats):
     ``structure_*`` counts lookups of compiled circuit *structures* (one per
     (circuit structure, device, layout, optimization level)); ``bind_*``
     counts bound-circuit lookups (one per parameter binding).  ``fallbacks``
-    counts bindings that crossed a compile-time branch of every cached
-    template variant and were served by a full concrete transpile instead —
-    the result is still exact, just not amortized.
+    counts :meth:`~ParametricTranspileCache.get_bound` bindings that crossed
+    a compile-time branch of every cached template variant and were served
+    by a full concrete transpile instead — the result is still exact, just
+    not amortized.  Gradient rows (``bind_rows``) never fall back.
     """
 
     structure_hits: int = 0
@@ -250,9 +252,8 @@ class ParametricCacheStats(MergeableStats):
     batch_binds: int = 0
     batch_rows: int = 0
     #: :meth:`ParametricTranspileCache.bind_rows` calls (parameter-shift
-    #: evaluation matrices) and the rows the first variant served; rows that
-    #: crossed a branch go to the bound-key fallback and count in
-    #: ``bind_misses``/``fallbacks``
+    #: evaluation matrices) and the rows they served, every one by a
+    #: template variant (never a fallback)
     gradient_binds: int = 0
     gradient_rows: int = 0
     compile_seconds: float = 0.0
@@ -312,7 +313,8 @@ class ParametricTranspileCache:
     a new variant with itself as witness (up to ``max_variants``).  A one-off
     pathological sample therefore costs one concrete transpile, while a
     *recurring* branch pattern gets its own amortized template; results are
-    identical either way.
+    identical either way.  Parameter-shift rows (:meth:`bind_rows`) skip the
+    fallback altogether: every branch pattern they meet gets a variant.
 
     Bound results are memoized in a second LRU so duplicated candidates and
     repeated samples receive the *same* :class:`CompiledCircuit` object,
@@ -621,25 +623,38 @@ class ParametricTranspileCache:
         device: Optional[Device] = None,
         initial_layout=None,
         optimization_level: int = 2,
-    ) -> Tuple[Optional[TemplateBatchBinding], dict]:
+    ) -> List[TemplateBatchBinding]:
         """Bind a full ``(rows, n_weights + n_features)`` values matrix.
 
         The gradient sibling of :meth:`get_bound_batch`: parameter-shift
         evaluation rows differ in their *weight* blocks too (every row is
-        the same structure under a shifted weight vector), so the whole
-        matrix goes through one vectorized template fill.  Returns
-        ``(binding, {row: CompiledCircuit})`` with the same alignment
-        contract as :meth:`get_bound_batch`.
+        the same structure under a shifted weight vector), so the matrix
+        goes through vectorized template fills.  Returns one
+        :class:`~repro.transpile.parametric.TemplateBatchBinding` per
+        template variant used; together they cover every row exactly once,
+        and each binding's ``rows`` index into ``values``.
 
-        Deterministic-path contract: a row is served by the structure's
-        *first* template variant, or — when it crosses that variant's
-        compile-time branches — directly by the exact bound-key fallback.
-        Unlike :meth:`get_bound`, a miss never advances the adaptive-variant
-        miss counter and never compiles a new variant, so each row's
-        template-vs-fallback path is a pure function of (row values, first
-        variant): sharded gradient workers serving different row subsets of
-        the same step produce bit-for-bit the circuits any other worker
-        split would.
+        Every row is served by a template, never by a concrete transpile.
+        The rows are bound against the structure's first variant, the rows
+        it rejects against each further stored variant, and the rows no
+        stored variant covers against a new variant traced at the first of
+        them (whose own bind is then guaranteed to succeed).  New variants
+        are stored up to ``max_variants``; past that the least recently
+        used variant other than the first is evicted (with
+        ``max_variants=1`` the new variant serves this call unstored).
+
+        Deterministic-path contract: each row's result is a pure function
+        of the row, whatever the cache history or the worker split.  A
+        template's instruction stream and affine plan depend on its witness
+        only through the branch decisions the trace recorded, and a variant
+        accepts a row only if the row takes every one of those decisions.
+        So any variant that accepts a row — stored or fresh, compiled in
+        this process or adopted from a worker — fills the same instructions
+        from the same affine plan, and no cache ever holds two variants of
+        one branch pattern.  The rows batched together through one variant
+        are therefore exactly the given rows sharing that branch pattern.
+        Sharded gradient workers serving different row subsets of the same
+        step produce bit-for-bit the circuits any other worker split would.
 
         The first variant (compiled here on a cold structure) is traced
         against the same hybrid witness convention as :meth:`get_bound` —
@@ -653,8 +668,7 @@ class ParametricTranspileCache:
         if values.ndim != 2:
             raise ValueError("bind_rows expects a 2-D values matrix")
         witness_weights = np.asarray(witness_weights, dtype=float).ravel()
-        n_weights = witness_weights.shape[0]
-        n_features = values.shape[1] - n_weights
+        n_features = values.shape[1] - witness_weights.shape[0]
         if n_features < 0:
             raise ValueError("values matrix narrower than the weight vector")
         key = self.key_for(circuit, device, initial_layout, optimization_level)
@@ -673,59 +687,46 @@ class ParametricTranspileCache:
                     key[-1], witness,
                 )
             )
-        start = clock.monotonic()
-        ok, binding = state.variants[0].bind_batch(values)
-        self.stats.bind_seconds += clock.monotonic() - start
         self.stats.gradient_binds += 1
-        self.stats.gradient_rows += int(ok.sum())
-        fallback = {}
-        for row in np.flatnonzero(~ok):
-            row = int(row)
-            fallback[row] = self._bound_row_fallback(
-                circuit, key, values[row], n_weights,
-                device, initial_layout, optimization_level,
+        self.stats.gradient_rows += values.shape[0]
+        bindings: List[TemplateBatchBinding] = []
+        pending = np.arange(values.shape[0])
+        stored = iter(list(state.variants))
+        while pending.size:
+            variant = next(stored, None)
+            fresh = variant is None
+            if fresh:
+                variant = self._compile(
+                    circuit, device, initial_layout, optimization_level,
+                    key[-1], values[pending[0]],
+                )
+                self._store_variant(state, variant)
+            start = clock.monotonic()
+            ok, binding = variant.bind_batch(values[pending])
+            self.stats.bind_seconds += clock.monotonic() - start
+            if fresh and not ok[0]:
+                raise ParametricBindMismatch(
+                    "a template variant rejected the row it was traced at"
+                )
+            if binding is None:
+                continue
+            bindings.append(
+                TemplateBatchBinding(variant, pending[binding.rows], binding.slots)
             )
-        return binding, fallback
+            pending = pending[~ok]
+            if not fresh and variant is not state.variants[0]:
+                # keep the other variants in least-recently-used order
+                state.variants.remove(variant)
+                state.variants.append(variant)
+        return bindings
 
-    def _bound_row_fallback(
-        self, circuit, key, row_values, n_weights,
-        device, initial_layout, optimization_level,
-    ) -> CompiledCircuit:
-        """Exact bound-key service of one branch-crossing row.
-
-        Shares the bound LRU with :meth:`get_bound` (same ``(key, values)``
-        convention), but never touches the adaptive-variant machinery — see
-        the :meth:`bind_rows` determinism contract.
-        """
-        row_values = np.ascontiguousarray(row_values, dtype=float)
-        bound_key = (key, row_values.tobytes())
-        bound = self._bound.get(bound_key)
-        if bound is not None:
-            self.stats.bind_hits += 1
-            self._bound.move_to_end(bound_key)
-            return bound
-        self.stats.bind_misses += 1
-        self.stats.fallbacks += 1
-        weights = row_values[:n_weights]
-        features_row = row_values[n_weights:]
-        bound_circuit = (
-            circuit.bind(weights, features_row)
-            if features_row.size
-            else circuit.bind(weights)
-        )
-        # the structure's pinned seed rides along, exactly as in get_bound
-        compiled = self.fallback.get(
-            bound_circuit,
-            device,
-            initial_layout=initial_layout,
-            optimization_level=optimization_level,
-            seed=key[-1],
-        )
-        self._bound[bound_key] = compiled
-        if len(self._bound) > self.bound_maxsize:
-            self._bound.popitem(last=False)
-            self.stats.bind_evictions += 1
-        return compiled
+    def _store_variant(self, state: "_StructureState", variant) -> None:
+        """Keep a variant ``bind_rows`` compiled, within ``max_variants``."""
+        if len(state.variants) >= self.max_variants:
+            if len(state.variants) == 1:
+                return  # only the first variant fits; serve this call unstored
+            del state.variants[1]  # the least recently used non-first variant
+        state.variants.append(variant)
 
     # -- sharded-worker entry exchange --------------------------------------
 

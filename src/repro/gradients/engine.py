@@ -15,9 +15,11 @@ the execution engine produces, so every gradient mode reuses the code path
 ``noise_sim``
     the rows go through :meth:`~repro.execution.cache.ParametricTranspileCache.
     bind_rows` into one :class:`~repro.transpile.parametric.
-    TemplateBatchBinding` per structure — one vectorized template fill, one
-    batched density evolution — with branch-crossing and oversized rows
-    served by per-row compiled jobs;
+    TemplateBatchBinding` per branch pattern of each structure — vectorized
+    template fills run as batched density evolutions of one ``run_group``.
+    Every row is template-bound (a pure function of the row, see the
+    ``bind_rows`` determinism contract); only rows of registers wider than
+    ``max_density_qubits`` run as per-row compiled jobs;
 ``real_qc``
     QML readout runs through the shot backend with one pinned
     ``seed_key`` per (row, sample) job; VQE energies take the sequential
@@ -102,6 +104,8 @@ class GradientEngineStats(MergeableStats):
 
     gradient_calls: int = 0
     rows_evaluated: int = 0
+    #: density rows run as template batches, and rows run as per-row
+    #: compiled jobs (only bindings wider than ``max_density_qubits``)
     template_rows: int = 0
     fallback_rows: int = 0
     shot_jobs: int = 0
@@ -298,24 +302,14 @@ class BatchedGradientEngine:
             [np.repeat(rows, batch, axis=0), np.tile(features, (n_rows, 1))],
             axis=1,
         )
-        binding, fallback = self._bind_rows(circuit, values, witness)
-        jobs: List[SimulationJob] = []
-        if binding is not None:
-            jobs.append(SimulationJob(template_batch=binding))
-        fallback_rows = sorted(fallback)
-        jobs.extend(SimulationJob(compiled=fallback[row]) for row in fallback_rows)
-        handles = backend.run_group(entry, jobs)
-        backend.synchronize()
-        flat = np.empty((n_rows * batch, n_qubits))
-        position = 0
-        if binding is not None:
-            for offset, row in enumerate(binding.rows):
-                flat[int(row)] = handles[offset].logical_z_expectations(n_qubits)
-            position = binding.n_rows
-            self.stats.template_rows += binding.n_rows
-        for offset, row in enumerate(fallback_rows):
-            flat[row] = handles[position + offset].logical_z_expectations(n_qubits)
-        self.stats.fallback_rows += len(fallback_rows)
+        flat = np.stack(
+            [
+                handle.logical_z_expectations(n_qubits)
+                for handle, _binding in self._run_bound_rows(
+                    backend, circuit, values, witness
+                )
+            ]
+        )
         return flat.reshape(n_rows, batch, n_qubits)
 
     # -- VQE energy rows ------------------------------------------------------
@@ -416,39 +410,19 @@ class BatchedGradientEngine:
                 group_probs.append([handle.probabilities() for handle in handles])
         else:
             for structure in structures:
-                entry = _GroupEntry(structure, witness)
-                binding, fallback = self._bind_rows(structure, rows, witness)
-                jobs = []
-                if binding is not None:
-                    jobs.append(SimulationJob(template_batch=binding))
-                fallback_rows = sorted(fallback)
-                jobs.extend(
-                    SimulationJob(compiled=fallback[row]) for row in fallback_rows
-                )
-                handles = backend.run_group(entry, jobs)
-                backend.synchronize()
-                probs: List[Optional[np.ndarray]] = [None] * n_rows
-                position = 0
-                if binding is not None:
-                    for offset, row in enumerate(binding.rows):
-                        probs[int(row)] = logical_probabilities(
-                            handles[offset].probabilities(),
+                group_probs.append(
+                    [
+                        logical_probabilities(
+                            handle.probabilities(),
                             binding.final_layout,
                             binding.used_qubits,
                             n_qubits,
                         )
-                    position = binding.n_rows
-                    self.stats.template_rows += binding.n_rows
-                for offset, row in enumerate(fallback_rows):
-                    handle = handles[position + offset]
-                    probs[row] = logical_probabilities(
-                        handle.probabilities(),
-                        handle.compiled,
-                        handle.used_physical,
-                        n_qubits,
-                    )
-                self.stats.fallback_rows += len(fallback_rows)
-                group_probs.append(probs)
+                        for handle, binding in self._run_bound_rows(
+                            backend, structure, rows, witness
+                        )
+                    ]
+                )
 
         energies = np.zeros(n_rows)
         for r in range(n_rows):
@@ -520,16 +494,23 @@ class BatchedGradientEngine:
             return np.asarray(rows[0], dtype=float)
         return np.asarray(witness_weights, dtype=float).ravel()
 
-    def _bind_rows(self, circuit, values: np.ndarray, witness: np.ndarray):
-        """Template-bind a values matrix; oversized registers fall back.
+    def _run_bound_rows(
+        self, backend, circuit, values: np.ndarray, witness: np.ndarray
+    ) -> List[Tuple]:
+        """Run every row of ``values`` on the density backend.
 
-        Rows whose reduced register exceeds ``max_density_qubits`` cannot
-        run as a template batch (the density runner's approximation needs
-        concrete reduced circuits), so the whole binding converts to
-        per-row compiled jobs — a pure function of the structure, hence
-        identical under any row partition.
+        Returns one ``(handle, binding)`` pair per row, in row order, where
+        ``binding`` is the :class:`~repro.transpile.parametric.
+        TemplateBatchBinding` that bound the row (its template carries the
+        row's layout).  Every row is template-bound — see the determinism
+        contract of :meth:`~repro.execution.cache.ParametricTranspileCache.
+        bind_rows` — and the bindings run as ``template_batch`` jobs of one
+        ``run_group``.  A binding whose reduced register exceeds
+        ``max_density_qubits`` cannot run as a template batch (the density
+        runner's approximation needs concrete reduced circuits), so its rows
+        run as per-row compiled jobs of the same template.
         """
-        binding, fallback = self.parametric_transpile_cache.bind_rows(
+        bindings = self.parametric_transpile_cache.bind_rows(
             circuit,
             values,
             witness,
@@ -537,17 +518,25 @@ class BatchedGradientEngine:
             initial_layout=self.initial_layout,
             optimization_level=int(self.config.optimization_level),
         )
-        if binding is not None and binding.n_rows == 0:
-            binding = None
-        if (
-            binding is not None
-            and binding.n_reduced > int(self.config.max_density_qubits)
-        ):
-            for row in binding.rows:
-                row = int(row)
-                fallback[row] = binding.template.bind(values[row])
-            binding = None
-        return binding, fallback
+        jobs: List[SimulationJob] = []
+        order: List[Tuple[int, object]] = []
+        for binding in bindings:
+            if binding.n_reduced > int(self.config.max_density_qubits):
+                jobs.extend(
+                    SimulationJob(compiled=binding.template.bind(values[row]))
+                    for row in binding.rows
+                )
+                self.stats.fallback_rows += binding.n_rows
+            else:
+                jobs.append(SimulationJob(template_batch=binding))
+                self.stats.template_rows += binding.n_rows
+            order.extend((int(row), binding) for row in binding.rows)
+        handles = backend.run_group(_GroupEntry(circuit, witness), jobs)
+        backend.synchronize()
+        per_row: List[Optional[Tuple]] = [None] * values.shape[0]
+        for (row, binding), handle in zip(order, handles):
+            per_row[row] = (handle, binding)
+        return per_row
 
     def _vqe_group_structures(self, ansatz, plan) -> List[ParameterizedCircuit]:
         """One parametric structure per measurement group: ansatz ops shared,

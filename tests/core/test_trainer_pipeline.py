@@ -20,9 +20,11 @@ from repro.core.supercircuit import SuperCircuit
 from repro.core.trainer import (
     SuperTrainConfig,
     train_subcircuit_qml,
+    train_subcircuit_vqe,
     train_supercircuit_qml,
     train_supercircuit_vqe,
 )
+from repro.devices import QuantumBackend
 from repro.devices.library import get_device
 from repro.qml.encoders import ENCODER_LIBRARY
 from repro.qml.training import TrainConfig
@@ -151,3 +153,35 @@ class TestPipelines:
         assert result.measured_energy >= molecule.ground_energy - 1e-6
         assert np.isfinite(result.noise_free_energy)
         assert len(result.best_mapping) == 2
+
+    def test_vqe_pipeline_parameter_shift_trains_on_the_device(self):
+        """Stage 3 of a parameter-shift pipeline trains under the device
+        noise model on the searched mapping — the same trajectory as a
+        direct noisy ``train_subcircuit_vqe`` call, not the noise-free one."""
+        space = get_design_space("u3cu3")
+        molecule = load_molecule("h2")
+        device = get_device("yorktown")
+        vqe_train = VQEConfig(
+            steps=3, learning_rate=0.05, seed=0, gradient="parameter_shift"
+        )
+        config = VQEPipelineConfig(
+            super_train=SuperTrainConfig(steps=4, batch_size=1, seed=0),
+            evolution=EvolutionConfig(iterations=2, population_size=4, parent_size=2,
+                                      mutation_size=1, crossover_size=1, seed=0),
+            estimator=EstimatorConfig(mode="noise_sim", n_valid_samples=2),
+            vqe_train=vqe_train,
+            pruning_ratio=None,
+            eval_shots=256,
+        )
+        result = QuantumNASVQEPipeline(space, molecule, device, config=config).run()
+
+        _model, direct = train_subcircuit_vqe(
+            result.supercircuit, result.best_config, molecule, vqe_train,
+            backend=QuantumBackend(device, shots=0, seed=0),
+            initial_layout=result.best_mapping,
+        )
+        assert np.array_equal(result.weights, direct.weights)
+        _model, noise_free = train_subcircuit_vqe(
+            result.supercircuit, result.best_config, molecule, vqe_train
+        )
+        assert not np.array_equal(result.weights, noise_free.weights)

@@ -1,9 +1,11 @@
 """The structure-keyed parametric transpile cache and its engine wiring.
 
 Covers the accounting contract (structure vs bind hits, variant compiles,
-fallbacks), object identity for repeated bindings, immutability of cached
-compilations across population evaluations, and the warm-start sharing of one
-cache instance between engines, pipeline stages and the deploy backend.
+fallbacks), object identity for repeated bindings, the template-only service
+of gradient rows by ``bind_rows`` (independent of variant history and of
+``max_variants``), immutability of cached compilations across population
+evaluations, and the warm-start sharing of one cache instance between
+engines, pipeline stages and the deploy backend.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends.density import BatchedDensityRunner
 from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.evolution import Candidate
@@ -171,6 +174,70 @@ def test_fallback_shares_the_structure_seed_at_level_3(
     assert compiled.success_rate() == pytest.approx(
         fresh.success_rate(), abs=ATOL
     )
+
+
+def bound_row_probabilities(cache, circuit, row, weights, yorktown, mapping):
+    """Density probabilities of one row served by ``bind_rows``."""
+    (binding,) = cache.bind_rows(circuit, row[None, :], weights, yorktown, mapping)
+    runner = BatchedDensityRunner(yorktown, 10)
+    job = runner.submit_template(binding)
+    runner.run()
+    return job.row_probabilities(0)
+
+
+def test_bind_rows_is_independent_of_variant_history(u3cu3_supercircuit, yorktown):
+    """A crossing row binds to the same numbers whichever variant of its
+    branch pattern serves it: one traced at the row itself in a fresh cache,
+    or one traced at another row of the pattern behind other variants."""
+    candidate, circuit, weights = structure_inputs(u3cu3_supercircuit, yorktown)
+    mapping = candidate.mapping
+    crossing = np.concatenate([weights, np.zeros(16)])
+
+    fresh = ParametricTranspileCache()
+    expected = bound_row_probabilities(
+        fresh, circuit, crossing, weights, yorktown, mapping
+    )
+    assert fresh.stats.variants_compiled == 2
+
+    warmed = ParametricTranspileCache()
+    other_pattern = np.zeros(16)
+    other_pattern[0] = 0.7
+    warm_rows = np.stack([
+        np.concatenate([weights, other_pattern]),
+        # the crossing row's branch pattern, traced at other weights
+        np.concatenate([weights + 0.01, np.zeros(16)]),
+    ])
+    warmed.bind_rows(circuit, warm_rows, weights, yorktown, mapping)
+    assert warmed.stats.variants_compiled == 3
+    probabilities = bound_row_probabilities(
+        warmed, circuit, crossing, weights, yorktown, mapping
+    )
+    assert warmed.stats.variants_compiled == 3
+    assert warmed.stats.fallbacks == 0
+    assert np.array_equal(probabilities, expected)
+
+
+def test_bind_rows_serves_every_row_by_template_at_max_variants(
+    u3cu3_supercircuit, yorktown
+):
+    candidate, circuit, weights = structure_inputs(u3cu3_supercircuit, yorktown)
+    other_pattern = np.zeros(16)
+    other_pattern[0] = 0.7
+    values = np.stack([
+        np.concatenate([weights, features])
+        for features in (np.linspace(0.3, 1.8, 16), np.zeros(16), other_pattern)
+    ])
+    cache = ParametricTranspileCache(max_variants=1)
+    for _attempt in range(2):
+        bindings = cache.bind_rows(
+            circuit, values, weights, yorktown, candidate.mapping
+        )
+        assert sorted(int(row) for b in bindings for row in b.rows) == [0, 1, 2]
+    assert cache.stats.fallbacks == 0
+    assert cache.fallback.stats.requests == 0
+    # the first variant stays; the other two patterns compile each call
+    assert cache.stats.variants_compiled == 5
+    assert cache.stats.gradient_rows == 6
 
 
 def test_population_evaluation_keeps_parametric_compilations_immutable(
