@@ -1,4 +1,4 @@
-"""Pickle-safety of the payloads crossing the scheduler's process boundary.
+"""Pickle-safety of the payloads crossing the shard runtime's process boundary.
 
 ``_ShardTask`` / ``_ShardResult`` (and everything reachable from their
 fields) are pickled into worker processes every generation.  A lock, an open
@@ -11,8 +11,8 @@ Root payloads are discovered two ways:
 
 * a standalone ``# repro: pickle-boundary`` comment on the line above the
   class definition (the explicit, self-documenting marker used in
-  :mod:`repro.execution.scheduler`), or
-* the scheduler's payload naming convention ``_Shard*`` as a fallback, so
+  :mod:`repro.execution.shards` and its workload adapters), or
+* the shard runtime's payload naming convention ``_Shard*`` as a fallback, so
   deleting a marker cannot silently un-check the real payloads.
 
 From each root the checker walks field annotations recursively through

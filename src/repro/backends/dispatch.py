@@ -6,7 +6,8 @@ function* of the estimator configuration and the request — never of pool
 state, population order or prior generations — which is what lets the
 sharded scheduler rebuild an identical dispatcher inside every worker
 process from the pickled :class:`~repro.core.estimator.EstimatorConfig`
-alone, with ``_ShardTask`` payloads carrying no backend state at all.
+alone, with the shard runtime's ``_ShardTask`` payloads
+(:mod:`repro.execution.shards`) carrying no backend state at all.
 
 Policy
 ------

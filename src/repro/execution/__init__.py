@@ -64,8 +64,9 @@ whole-population evaluation through :class:`ShardedExecutionEngine`
 partitioned across a persistent ``ProcessPoolExecutor``, worker-local caches
 stay warm across generations, and every worker's new cache entries and
 counter deltas are merged back into the parent estimator's caches after each
-generation.  The scheduler's determinism contract (see its module docstring)
-keeps scores bit-for-bit independent of the worker count.
+generation.  It is the population adapter of the one shard runtime
+(:mod:`repro.execution.shards`), whose determinism contract (see its module
+docstring) keeps scores bit-for-bit independent of the worker count.
 
 **Resilience & fault injection.**  Shard failures are classified
 (:mod:`repro.execution.resilience`): infrastructure faults (broken pools,

@@ -3,17 +3,18 @@
 Before this layer existed, any single worker fault in a sharded engine
 discarded every healthy shard's scores and re-ran the whole generation in
 the parent process, and a hung worker blocked ``future.result()`` forever.
-This module gives both sharded engines (:class:`~repro.execution.scheduler.
-ShardedExecutionEngine`, :class:`~repro.gradients.sharded.
-ShardedGradientEngine`) a common liveness/retry substrate:
+This module is the liveness/retry substrate of the shard runtime
+(:mod:`repro.execution.shards`), which both sharded engines
+(:class:`~repro.execution.scheduler.ShardedExecutionEngine`,
+:class:`~repro.gradients.sharded.ShardedGradientEngine`) run on:
 
 **Failure classification.**  A shard failure is either an *infrastructure*
 fault — a broken/dead pool, or a deadline timeout — or a *task error*, an
 exception the task function itself raised.  Infrastructure faults are
 retried (the unit of work is hermetic, so a re-run is bitwise identical);
-task errors are **not** retried blindly: the owning engine re-runs the unit
-in-process once, and an error that reproduces is re-raised as a real bug
-instead of being degraded into a slow retry loop.
+task errors are **not** retried blindly: the shard runtime re-runs the
+unit in-process once, and an error that reproduces is re-raised as a real
+bug instead of being degraded into a slow retry loop.
 
 **Per-shard deadlines.**  :meth:`ResilientDispatcher.run` gathers shard
 futures through a watchdog: any shard still running past
@@ -32,13 +33,16 @@ generation are respawned in the background after the generation completes,
 so later generations return to full width.
 
 **Last resort.**  Only when every retry round is exhausted does
-:class:`RetriesExhausted` reach the engine, which then (and only then)
-degrades the whole generation to the in-process path.
+:class:`RetriesExhausted` reach the shard runtime, which then (and only
+then) degrades the whole generation or gradient step to the in-process
+path.
 
-The dispatcher mutates a stats object through the
-:class:`ResilienceCounters` field names, which both engines' scheduler
-stats dataclasses carry; counters merge through the usual
-:class:`~repro.execution.stats.MergeableStats` protocol.
+The dispatcher increments the resilience fields of the runtime's
+:class:`~repro.execution.shards.ShardStats` (``worker_failures``,
+``retried_shards``, ``rebalanced_shards``, ``respawned_pools``,
+``deadline_timeouts``, ``watchdog_wait_seconds``); they merge across
+processes through the usual :class:`~repro.execution.stats.MergeableStats`
+protocol like every other counter.
 """
 
 from __future__ import annotations
@@ -252,11 +256,7 @@ class WorkerPoolGroup:
             # round's ensure() will try again.  ensure() may already have
             # constructed a pool (and forked its worker) before the ping
             # submit blew up — kill it, or the worker process leaks.
-            executor = self._slots[index]
-            self._slots[index] = None
-            self.dead[index] = True
-            if executor is not None:
-                kill_executor(executor)
+            self.kill(index)
             return False
         return True
 
@@ -272,24 +272,6 @@ class WorkerPoolGroup:
             if executor is not None:
                 self._slots[index] = None
                 kill_executor(executor)
-
-
-class ResilienceCounters:
-    """The stats field names :class:`ResilientDispatcher` increments.
-
-    Both scheduler stats dataclasses define these as ordinary ``int``
-    fields (plus ``watchdog_wait_seconds`` as a float), so resilience
-    accounting merges across processes like every other counter.
-    """
-
-    FIELDS = (
-        "worker_failures",
-        "retried_shards",
-        "rebalanced_shards",
-        "respawned_pools",
-        "deadline_timeouts",
-        "watchdog_wait_seconds",
-    )
 
 
 class ResilientDispatcher:

@@ -1,92 +1,37 @@
 """Sharded multi-process population evaluation for the co-search hot path.
 
 :class:`ShardedExecutionEngine` partitions a population's structure groups
-(candidates sharing one SubCircuit genome) across a persistent
-``concurrent.futures.ProcessPoolExecutor``.  Each worker owns a full
+(candidates sharing one SubCircuit genome) across persistent worker
+processes.  Each worker owns a full
 :class:`~repro.core.estimator.PerformanceEstimator` +
-:class:`~repro.execution.engine.ExecutionEngine` stack — including its own
-transpile/parametric caches, which stay warm across generations — and after
-every generation each worker's *new* cache entries and counter deltas are
-merged back into the parent estimator's caches through the explicit
-:class:`~repro.execution.stats.MergeableStats` protocol, so the
-deploy/evaluate stage (and any degraded generation) starts from everything
-the fleet compiled.
-
-Determinism contract
---------------------
-Results are bit-for-bit independent of the worker count.  Three rules make
-that hold:
-
-1. **The unit of evaluation is the structure group, everywhere.**  A group's
-   candidates are always evaluated together through one in-process
-   ``ExecutionEngine`` call — inside a worker, inside the parent when
-   ``workers <= 1``, and inside the parent again when a generation degrades —
-   so the batched density-matrix stacks, transpile requests and cache-state
-   evolution a group sees are identical no matter where (or alongside what)
-   it runs.  Changing the worker count only moves groups between processes;
-   it never changes the numbers any group produces.  The same hermeticity is
-   what makes *retrying* a failed shard on a different pool bitwise safe.
-2. **Shard assignment is a pure function of the population.**  Group keys are
-   ordered stably (sorted genome genes) and assigned greedily
-   (largest-candidate-count first, key as tie-break) to the least-loaded
-   shard — never by pool state, population order or prior generations.
-3. **Per-shard seeds are pinned.**  Every shard task re-seeds its worker's
-   estimator/backend rng streams from ``stable_seed((seed, "shard", i))``.
-   The seed travels *with the task*, so a task retried on a surviving pool
-   samples exactly what its home pool would have.  No sharded mode consumes
-   these streams today (``real_qc`` — the only rng-consuming estimator mode
-   — always takes the sequential parent path), so this is defensive.
-
-Resilience (see :mod:`repro.execution.resilience`)
---------------------------------------------------
-Shard failures are classified.  *Infrastructure* faults — a broken pool, a
-worker crash, a deadline timeout flagged by the watchdog — are retried with
-capped exponential backoff, rebalancing the failed shard's groups onto
-surviving workers while every healthy shard's scores are kept; killed pools
-respawn in the background so later generations return to full width.  *Task
-errors* (the evaluation itself raised) are confirmed by one in-process
-re-run of the shard's groups: a transient error recovers with a warning, a
-reproducing error is re-raised as the real bug it is.  Whole-generation
-in-process degradation (``degraded_generations``) remains only as the last
-resort when retries are exhausted — and even then cache entries already
-returned by healthy shards are adopted first, so the retry is warm, and a
-fault can delay a generation but never change a score.
-
-Fault injection for all of the above is first-class and deterministic:
-``REPRO_FAULTS`` (see :mod:`repro.execution.faults`) injects crash / hang /
-slow / flaky behavior at named worker lifecycle points in chosen shards and
-generations.
+:class:`~repro.execution.engine.ExecutionEngine` stack, so the deploy/evaluate
+stage (and any degraded generation) starts from everything the fleet
+compiled.  This module is the population adapter of the shard runtime in
+:mod:`repro.execution.shards`, whose module docstring states the determinism
+and resilience contract.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import functools
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..utils.rng import ensure_rng
-from .. import telemetry
-from ..telemetry.spans import SpanRecord
-from .cache import ParametricCacheStats, TranspileCacheStats, stable_seed
-from .engine import ExecutionEngine, ExecutionStats
-from .faults import FaultInjector, FaultPlan
-from .resilience import (
-    ResilientDispatcher,
-    RetriesExhausted,
-    RetryPolicy,
-    WorkerPoolGroup,
-)
-from .stats import MergeableStats
+from .engine import ExecutionEngine
+from .faults import FaultPlan
+from .resilience import WorkerPoolGroup
+from .shards import ShardContext, ShardRuntime, ShardStats
 
 __all__ = ["SchedulerStats", "ShardedExecutionEngine"]
 
 
 @dataclass
-class SchedulerStats(MergeableStats):
+class SchedulerStats(ShardStats):
     """Counters describing what the sharded scheduler did."""
 
     generations: int = 0
@@ -94,29 +39,10 @@ class SchedulerStats(MergeableStats):
     in_process_generations: int = 0
     #: whole-generation in-process fallbacks only — the genuine last resort
     degraded_generations: int = 0
-    shards_dispatched: int = 0
-    worker_failures: int = 0
-    #: infrastructure-failed shard tasks re-dispatched (retry rounds)
-    retried_shards: int = 0
-    #: retried tasks that ran on a pool other than their home pool
-    rebalanced_shards: int = 0
-    #: dead pools brought back in the background after a generation
-    respawned_pools: int = 0
-    #: shards the watchdog declared hung past their deadline
-    deadline_timeouts: int = 0
-    #: wall time the watchdog spent gathering deadline-bounded rounds
-    watchdog_wait_seconds: float = 0.0
-    #: worker task errors re-run once in-process for confirmation
-    task_error_confirmations: int = 0
-    #: confirmations that succeeded — transient faults recovered in place
-    flaky_recoveries: int = 0
-    adopted_bound_entries: int = 0
-    adopted_structures: int = 0
-    adopted_parametric_bound: int = 0
 
 
 # ---------------------------------------------------------------------------
-# Task / result payloads crossing the process boundary
+# Shard payloads crossing the process boundary
 # ---------------------------------------------------------------------------
 
 
@@ -136,61 +62,45 @@ class _ValidationView:
 
 # repro: pickle-boundary
 @dataclass
-class _ShardTask:
-    """One shard's slice of a generation."""
+class _GroupShard:
+    """One shard's structure groups plus what scoring them needs."""
 
-    shard_index: int
-    seed: int
     parameters: np.ndarray
     #: ``(group key, population indices, candidates)`` per structure group
     groups: List[Tuple[Tuple, List[int], list]]
+    #: ``kind`` plus ``dataset``/``n_classes`` (qml) or ``molecule`` (vqe)
     payload: dict
-    #: 0-based index of the evaluate call, for deterministic fault scoping
-    generation: int = 0
-    #: dispatch attempt of this task (0 = first dispatch, +1 per retry)
-    attempt: int = 0
-    #: deterministic fault-injection trigger (None outside chaos runs)
-    injector: Optional[FaultInjector] = None
-    #: owning tenant name when dispatched through a service-shared pool
-    #: (None for engine-owned pools, whose workers hold a single context)
-    tenant: Optional[str] = None
-    #: ``(device, config, supercircuit)`` for lazily building this tenant's
-    #: worker-side context.  Ships with every tenant task so a retried or
-    #: rebalanced task can rebuild the context on whichever pool it lands on.
-    context_spec: Optional[tuple] = None
 
 
-# repro: pickle-boundary
-@dataclass
-class _ShardResult:
-    """Scores plus the accounting deltas one shard produced."""
+def _score_groups(engine: ExecutionEngine, groups: list, payload: dict):
+    """``(population index, score)`` pairs, one engine call per group.
 
-    shard_index: int
-    n_groups: int
-    n_candidates: int
-    scores: List[Tuple[int, float]]
-    engine_stats: ExecutionStats
-    num_queries: int
-    backend_executions: int
-    bound_stats: TranspileCacheStats
-    parametric_stats: ParametricCacheStats
-    bound_entries: list
-    parametric_entries: dict
-    elapsed_seconds: float = 0.0
-    attempt: int = 0
-    #: the worker-side telemetry spans for this shard (always captured —
-    #: the parent re-ids them into its tracer when tracing is active and
-    #: drops them otherwise; see ``_WorkerContext.run``)
-    spans: List[SpanRecord] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
-# Worker-process side
-# ---------------------------------------------------------------------------
+    Calls the unsharded :class:`ExecutionEngine` methods explicitly, so the
+    parent's sharded engine scores a group exactly as a worker's does
+    (contract rule 1).
+    """
+    scores: List[Tuple[int, float]] = []
+    for _key, indices, candidates in groups:
+        if payload["kind"] == "qml":
+            group_scores = ExecutionEngine.evaluate_qml_population(
+                engine, candidates, payload["dataset"], payload["n_classes"]
+            )
+        else:
+            group_scores = ExecutionEngine.evaluate_vqe_population(
+                engine, candidates, payload["molecule"]
+            )
+        scores.extend(
+            (int(index), float(score))
+            for index, score in zip(indices, group_scores)
+        )
+    return scores
 
 
-class _WorkerContext:
-    """Per-process estimator/engine stack plus export bookkeeping."""
+class _PopulationContext(ShardContext):
+    """Per-process estimator/engine stack."""
+
+    span_name = "worker.shard"
+    dispatch_unit = "generation"
 
     def __init__(self, device, config, supercircuit) -> None:
         # Imported here, not at module top: repro.execution must stay
@@ -201,217 +111,62 @@ class _WorkerContext:
         # Workers never shard further — a worker is the leaf of the tree.
         worker_config = dataclasses.replace(config, workers=1)
         self.estimator = PerformanceEstimator(device, worker_config)
-        self.engine = ExecutionEngine(self.estimator, supercircuit)
-        self.exported_bound: set = set()
-        self.exported_structures: set = set()
-        self.exported_parametric_bound: set = set()
+        engine = ExecutionEngine(self.estimator, supercircuit)
+        super().__init__(engine, engine.transpile_cache, engine.parametric_cache)
 
-    def _fire(self, task: _ShardTask, point: str) -> None:
-        if task.injector is not None:
-            task.injector.fire(
-                point, task.shard_index, task.generation, task.attempt
-            )
+    def counters(self) -> Dict[str, int]:
+        return {
+            "num_queries": self.estimator.num_queries,
+            "backend_executions": self.estimator._backend.executions,
+        }
 
-    def run(self, task: _ShardTask) -> _ShardResult:
-        """Evaluate one shard task, always under a telemetry capture.
-
-        The capture runs whether or not tracing was requested — the traced
-        and untraced paths are the same code, which is what makes the
-        on/off bitwise determinism matrix hold by construction.  The root
-        ``worker.shard`` span's duration doubles as the shard's
-        ``elapsed_seconds`` report.
-        """
-        self._fire(task, "task_receive")
-        tracer = telemetry.get_tracer()
-        with tracer.capture() as spans:
-            with tracer.span(
-                "worker.shard",
-                shard=task.shard_index,
-                generation=task.generation,
-                attempt=task.attempt,
-                tenant=task.tenant,
-            ):
-                result = self._evaluate(task)
-        # observation-only payload riding home on the result: the parent
-        # adopts the spans (or drops them) and reports elapsed_seconds —
-        # nothing here feeds scores, seeds or scheduling
-        result.spans = spans
-        result.elapsed_seconds = spans[-1].duration
-        self._fire(task, "result_send")
-        return result  # repro: ignore[telemetry-flow] -- span buffer + root-span elapsed ride the shard result as its observational timing report
-
-    def _evaluate(self, task: _ShardTask) -> _ShardResult:
-        if not np.array_equal(self.supercircuit.parameters, task.parameters):
-            self.supercircuit.parameters = np.array(task.parameters, dtype=float)
-        estimator = self.estimator
-        estimator.rng = ensure_rng(task.seed)
-        estimator._backend.reseed(task.seed)
-
-        engine_before = self.engine.stats.copy()
-        bound_before = estimator.transpile_cache.stats.copy()
-        parametric_before = estimator.parametric_transpile_cache.stats.copy()
-        queries_before = estimator.num_queries
-        executions_before = estimator._backend.executions
-
-        scores: List[Tuple[int, float]] = []
-        n_candidates = 0
-        for group_index, (_key, indices, candidates) in enumerate(task.groups):
-            if group_index == 1:
-                # after the first unit of work, so a crash/hang here
-                # discards partially completed evaluation
-                self._fire(task, "mid_evaluation")
-            n_candidates += len(candidates)
-            if task.payload["kind"] == "qml":
-                group_scores = self.engine.evaluate_qml_population(
-                    candidates, task.payload["dataset"], task.payload["n_classes"]
-                )
-            else:
-                group_scores = self.engine.evaluate_vqe_population(
-                    candidates, task.payload["molecule"]
-                )
-            scores.extend(
-                (int(index), float(score))
-                for index, score in zip(indices, group_scores)
-            )
-        if len(task.groups) == 1:
-            self._fire(task, "mid_evaluation")
-
-        # populations/candidates are generation-level counters owned by the
-        # parent — report them as zero deltas so merging cannot double-count.
-        engine_delta = self.engine.stats.diff(engine_before)
-        engine_delta.populations = 0
-        engine_delta.candidates = 0
-
-        bound_entries = estimator.transpile_cache.export_entries(self.exported_bound)
-        parametric_entries = estimator.parametric_transpile_cache.export_entries(
-            self.exported_structures, self.exported_parametric_bound
-        )
-        # Exclusion sets are refreshed from the caches (not accumulated): an
-        # entry evicted worker-side and recompiled later must ship again, and
-        # the sets must stay bounded by the cache sizes.
-        self.exported_bound = estimator.transpile_cache.export_keys()
-        self.exported_structures, self.exported_parametric_bound = (
-            estimator.parametric_transpile_cache.export_keys()
-        )
-        return _ShardResult(
-            shard_index=task.shard_index,
-            n_groups=len(task.groups),
-            n_candidates=n_candidates,
-            scores=scores,
-            engine_stats=engine_delta,
-            num_queries=estimator.num_queries - queries_before,
-            backend_executions=estimator._backend.executions - executions_before,
-            bound_stats=estimator.transpile_cache.stats.diff(bound_before),
-            parametric_stats=estimator.parametric_transpile_cache.stats.diff(
-                parametric_before
-            ),
-            bound_entries=bound_entries,
-            parametric_entries=parametric_entries,
-            attempt=task.attempt,
-        )
-
-
-_WORKER_CONTEXT: Optional[_WorkerContext] = None
-
-#: per-tenant contexts inside a service-shared worker (see
-#: :func:`_init_service_worker`); tenant caches never mix because each
-#: tenant's tasks resolve to its own estimator/engine stack
-_SERVICE_CONTEXTS: Dict[str, _WorkerContext] = {}
-
-
-def _init_worker(device, config, supercircuit, spawn_probe=None) -> None:
-    if spawn_probe is not None:
-        injector, shard_index, generation, attempt = spawn_probe
-        injector.fire("pool_spawn", shard_index, generation, attempt)
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = _WorkerContext(device, config, supercircuit)
-
-
-def _init_service_worker(spawn_probe=None) -> None:
-    """Initializer for pools shared by many tenants (:mod:`repro.service`).
-
-    Unlike :func:`_init_worker`, no single context can be built up front —
-    the worker serves whichever tenants' shard tasks land on it.  Contexts
-    are built lazily from each task's ``context_spec`` and kept per tenant,
-    so a tenant's caches stay warm across generations on its home shard
-    exactly like a private pool, while tenants sharing the pool stay
-    isolated from each other's estimator state.
-    """
-    if spawn_probe is not None:
-        injector, shard_index, generation, attempt = spawn_probe
-        injector.fire("pool_spawn", shard_index, generation, attempt)
-    global _SERVICE_CONTEXTS
-    _SERVICE_CONTEXTS = {}
-
-
-def _run_shard(task: _ShardTask) -> _ShardResult:
-    if task.tenant is not None:
-        context = _SERVICE_CONTEXTS.get(task.tenant)
-        if context is None:
-            if task.context_spec is None:
-                raise RuntimeError(
-                    f"tenant task {task.tenant!r} arrived without a "
-                    "context_spec to build its worker context from"
-                )
-            device, config, supercircuit = task.context_spec
-            context = _WorkerContext(device, config, supercircuit)
-            _SERVICE_CONTEXTS[task.tenant] = context
-        return context.run(task)
-    if _WORKER_CONTEXT is None:
-        raise RuntimeError("shard worker used before _init_worker ran")
-    return _WORKER_CONTEXT.run(task)
-
-
-def _ping(value: int) -> int:
-    """No-op task used by warm-up pings and background pool respawns."""
-    return value
+    def evaluate(self, task) -> List[Tuple[int, float]]:
+        shard: _GroupShard = task.work
+        if not np.array_equal(self.supercircuit.parameters, shard.parameters):
+            self.supercircuit.parameters = np.array(shard.parameters, dtype=float)
+        self.estimator.rng = ensure_rng(task.seed)
+        self.estimator._backend.reseed(task.seed)
+        scores = _score_groups(self.engine, shard.groups[:1], shard.payload)
+        # after the first unit of work, so a crash/hang here discards
+        # partially completed evaluation
+        self.fire(task, "mid_evaluation")
+        return scores + _score_groups(self.engine, shard.groups[1:], shard.payload)
 
 
 # ---------------------------------------------------------------------------
-# Parent-process scheduler
+# Parent-process engine
 # ---------------------------------------------------------------------------
 
 
-class ShardedExecutionEngine(ExecutionEngine):
+class ShardedExecutionEngine(ShardRuntime, ExecutionEngine):
     """A population engine that fans structure groups out to worker processes.
 
     Drop-in for :class:`ExecutionEngine` (it *is* one): the scorer factories,
     sequential/real_qc fallbacks and ``noisy_expectations`` are inherited,
-    only whole-population evaluation is sharded.  Construction defaults to
-    :class:`~repro.core.estimator.EstimatorConfig` fields ``workers`` and
+    only whole-population evaluation is sharded.  The shard count comes from
+    the :class:`~repro.core.estimator.EstimatorConfig` fields ``workers`` and
     ``shard_min_group_size`` (plus the ``shard_deadline_seconds`` /
     ``shard_retries`` / ``shard_backoff_*`` resilience knobs);
-    ``workers <= 1`` never creates a pool.
-
-    ``pools`` + ``tenant`` switch the engine into shared-pool mode for the
-    multi-tenant service (:mod:`repro.service`): shard tasks are dispatched
-    onto an externally-owned :class:`~repro.execution.resilience.
-    WorkerPoolGroup` (spawned with ``_init_service_worker``) and carry the
-    tenant name so shared workers keep one lazily-built context per tenant.
-    Scores are unchanged by the sharing — the determinism contract above
-    makes every unit of evaluation hermetic with respect to which process
-    (and alongside which tenants) it runs.
+    ``workers <= 1`` never creates a pool.  ``pools``/``tenant`` (the
+    multi-tenant service) and ``fault_plan`` are described on
+    :class:`~repro.execution.shards.ShardRuntime`.
 
     Simulation-backend dispatch (:mod:`repro.backends`) composes with
     sharding without any payload changes: backend selection is a pure
     function of the estimator config that ships to workers anyway, so every
-    worker's engine rebuilds an identical dispatcher and ``_ShardTask``
-    carries no backend state.
-
-    ``fault_plan`` (default: parsed from ``REPRO_FAULTS``) drives the
-    deterministic chaos harness; assign a :class:`~repro.execution.faults.
-    FaultPlan` before evaluating to inject faults programmatically.
-
-    Call :meth:`close` (pipelines do, via the context-manager protocol) to
-    shut the worker pool down.
+    worker's engine rebuilds an identical dispatcher and shard tasks carry
+    no backend state.
     """
+
+    fault_engine = "execution"
+    dispatch_span = "scheduler.generation"
+    dispatch_unit = "generation"
+    seed_tag = "shard"
 
     def __init__(
         self,
         estimator,
         supercircuit,
-        workers: Optional[int] = None,
-        shard_min_group_size: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         pools: Optional[WorkerPoolGroup] = None,
         tenant: Optional[str] = None,
@@ -419,111 +174,44 @@ class ShardedExecutionEngine(ExecutionEngine):
     ) -> None:
         super().__init__(estimator, supercircuit, **engine_kwargs)
         config = estimator.config
-        self.workers = int(
-            getattr(config, "workers", 1) if workers is None else workers
-        )
         self.shard_min_group_size = max(
-            1,
-            int(
-                getattr(config, "shard_min_group_size", 4)
-                if shard_min_group_size is None
-                else shard_min_group_size
+            1, int(getattr(config, "shard_min_group_size", 4))
+        )
+        self._init_shards(
+            getattr(config, "workers", 1),
+            config,
+            SchedulerStats(),
+            (self.transpile_cache, self.parametric_cache),
+            fault_plan=fault_plan,
+            pools=pools,
+            tenant=tenant,
+        )
+
+    # -- adapter hooks ---------------------------------------------------------
+
+    def _context_spec(self) -> functools.partial:
+        return functools.partial(
+            _PopulationContext,
+            self.estimator.device, self.estimator.config, self.supercircuit,
+        )
+
+    def _confirm(self, shard: _GroupShard) -> List[Tuple[int, float]]:
+        return _score_groups(self, shard.groups, shard.payload)
+
+    def _report(self, shard: _GroupShard, result) -> dict:
+        return {
+            "groups": len(shard.groups),
+            "candidates": len(result.output),
+            "transpile_seconds": (
+                result.bound_stats.compile_seconds
+                + result.parametric_stats.compile_seconds
+                + result.parametric_stats.bind_seconds
             ),
-        )
-        self.scheduler_stats = SchedulerStats()
-        self.last_shard_reports: List[dict] = []
-        self.retry_policy = RetryPolicy.from_config(config)
-        self.fault_plan = (
-            FaultPlan.from_env() if fault_plan is None else fault_plan
-        )
-        self._current_generation = 0
-        if pools is not None:
-            # Externally-owned pool group (the multi-tenant service): shard
-            # tasks carry the tenant name + context spec so the shared
-            # workers (spawned with _init_service_worker) resolve them to
-            # this engine's per-tenant worker context.  The owner closes the
-            # pools; this engine never does.
-            if tenant is None:
-                raise ValueError(
-                    "an externally-owned pool group needs a tenant name so "
-                    "shared workers can keep this engine's context separate"
-                )
-            self.tenant = str(tenant)
-            self._owns_pools = False
-            self._pools = pools
-            # never plan more shards than the shared group has slots;
-            # size 0 keeps every generation on the in-process path
-            self.workers = min(self.workers, pools.size)
-        else:
-            self.tenant = None
-            self._owns_pools = True
-            # One single-process pool per shard slot, so shard i always runs
-            # in the same worker process: its caches stay warm across
-            # generations (ProcessPoolExecutor's shared task queue would hand
-            # a shard to whichever process grabbed it first, leaving warm
-            # caches behind).
-            self._pools = WorkerPoolGroup(
-                max(0, self.workers), _init_worker, self._spawn_initargs
-            )
+        }
 
-    def _spawn_initargs(self, shard_index: int, spawn_attempt: int) -> tuple:
-        injector = self.fault_plan.injector("execution")
-        probe = (
-            (injector, shard_index, self._current_generation, spawn_attempt)
-            if injector is not None
-            else None
-        )
-        return (
-            self.estimator.device,
-            self.estimator.config,
-            self.supercircuit,
-            probe,
-        )
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def _executors(self):
-        """The per-shard pool slots (None = not spawned / killed)."""
-        return self._pools.slots
-
-    def warm_up(self) -> None:
-        """Start the worker pool ahead of time.
-
-        Benchmarks call this before timing a cold generation so process
-        startup and worker-estimator construction are not mistaken for
-        population-evaluation cost.
-        """
-        if self.workers > 1:
-            # submit every ping before gathering so the worker startups (and
-            # their estimator construction) overlap instead of serializing
-            futures = [
-                self._pools.ensure(shard_index).submit(_ping, shard_index)
-                for shard_index in range(self.workers)
-            ]
-            for future in futures:
-                future.result()
-
-    def close(self) -> None:
-        """Shut every worker pool down (idempotent).
-
-        Safe to call repeatedly, from ``__exit__`` (engines are context
-        managers) and from ``__del__`` — including on a partially
-        constructed instance whose ``__init__`` raised before the pool
-        group existed — so interrupted benchmarks and aborted searches never
-        leak worker processes.  Externally-owned (service-shared) pool
-        groups are left running: their owner closes them.
-        """
-        pools = getattr(self, "_pools", None)
-        if pools is not None and getattr(self, "_owns_pools", True):
-            pools.close()
-        super().close()
-
-    def __del__(self) -> None:  # best-effort; close()/__exit__ is the real API
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _merge_counters(self, counters: Dict[str, int]) -> None:
+        self.estimator.num_queries += counters["num_queries"]
+        self.estimator._backend.record_executions(counters["backend_executions"])
 
     # -- population evaluation ----------------------------------------------
 
@@ -539,24 +227,15 @@ class ShardedExecutionEngine(ExecutionEngine):
             "dataset": _ValidationView(features, labels),
             "n_classes": int(n_classes),
         }
-
-        def in_process(subset: list) -> List[float]:
-            return ExecutionEngine.evaluate_qml_population(
-                self, subset, dataset, n_classes
-            )
-
-        return self._evaluate_population(candidates, payload, in_process)
+        return self._evaluate_population(candidates, payload)
 
     def evaluate_vqe_population(self, candidates: Sequence, molecule) -> List[float]:
         candidates = list(candidates)
         if not candidates or not self._shardable():
             return super().evaluate_vqe_population(candidates, molecule)
-        payload = {"kind": "vqe", "molecule": molecule}
-
-        def in_process(subset: list) -> List[float]:
-            return ExecutionEngine.evaluate_vqe_population(self, subset, molecule)
-
-        return self._evaluate_population(candidates, payload, in_process)
+        return self._evaluate_population(
+            candidates, {"kind": "vqe", "molecule": molecule}
+        )
 
     def _shardable(self) -> bool:
         """Whether population evaluation may leave the parent process.
@@ -571,46 +250,46 @@ class ShardedExecutionEngine(ExecutionEngine):
 
     # -- scheduling ----------------------------------------------------------
 
-    def _evaluate_population(
-        self,
-        candidates: list,
-        payload: dict,
-        in_process_fn: Callable[[list], List[float]],
-    ) -> List[float]:
+    def _evaluate_population(self, candidates: list, payload: dict) -> List[float]:
         groups = self._plan_groups(candidates)
-        shards = self._plan_shards(groups)
-        generation = self.scheduler_stats.generations
-        self.scheduler_stats.generations += 1
-        self._current_generation = generation
-        with telemetry.span(
-            "scheduler.generation",
-            generation=generation,
-            shards=len(shards),
-            candidates=len(candidates),
-            tenant=self.tenant,
-        ):
-            if len(shards) <= 1:
-                self.scheduler_stats.in_process_generations += 1
-                self.last_shard_reports = []
-                return self._evaluate_in_process(
-                    candidates, groups, in_process_fn
-                )
-            populations_before = self.stats.populations
-            candidates_before = self.stats.candidates
-            try:
-                results, confirmed = self._run_resilient(
-                    candidates, shards, payload, generation, in_process_fn
-                )
-            except RetriesExhausted as exc:
-                self._degrade(exc)
-                return self._evaluate_in_process(
-                    candidates, groups, in_process_fn
-                )
-            self.scheduler_stats.sharded_generations += 1
-            return self._merge_generation(
-                candidates, results, confirmed,
-                populations_before, candidates_before,
+        parameters = np.array(self.supercircuit.parameters, dtype=float)
+
+        def with_candidates(items) -> list:
+            return [
+                (key, indices, [candidates[i] for i in indices])
+                for key, indices in items
+            ]
+
+        def assemble(outputs: Dict[int, list]) -> List[float]:
+            scores = [0.0] * len(candidates)
+            for shard_index in sorted(outputs):
+                for index, score in outputs[shard_index]:
+                    scores[index] = score
+            return scores
+
+        def in_process() -> List[float]:
+            # Group-at-a-time in the parent, in population order (contract
+            # rule 1): when sharding is not worth a dispatch (``workers <=
+            # 1``, tiny populations) and when a generation degrades after a
+            # worker fault — exactly the floats the sharded path produces.
+            return assemble(
+                {0: _score_groups(self, with_candidates(groups.items()), payload)}
             )
+
+        shards = [
+            _GroupShard(parameters, with_candidates(shard), payload)
+            for shard in self._plan_shards(groups)
+        ]
+        populations_before = self.stats.populations
+        candidates_before = self.stats.candidates
+        scores = self._run_dispatch(
+            shards, in_process, assemble, candidates=len(candidates)
+        )
+        # one generation counts exactly once, however the work was split
+        # between groups, shard merges and in-process confirmation runs
+        self.stats.populations = populations_before + 1
+        self.stats.candidates = candidates_before + len(candidates)
+        return scores
 
     def _plan_groups(self, candidates: list) -> "OrderedDict[Tuple, List[int]]":
         """Population indices per structure group (genome gene), stably keyed."""
@@ -647,183 +326,3 @@ class ShardedExecutionEngine(ExecutionEngine):
         for shard in shards:
             shard.sort(key=lambda item: item[0])
         return shards
-
-    def _run_resilient(
-        self,
-        candidates: list,
-        shards: List[List[Tuple[Tuple, List[int]]]],
-        payload: dict,
-        generation: int,
-        in_process_fn: Callable[[list], List[float]],
-    ) -> Tuple[Dict[int, _ShardResult], Dict[int, float]]:
-        """Dispatch one generation under the retry/deadline policy.
-
-        Returns ``(shard results, confirmed scores)`` where confirmed scores
-        are population-index→score pairs recovered from worker task errors
-        by the one-shot in-process confirmation run.  A task error that
-        reproduces in-process is re-raised: it is a real bug, not a fault.
-        """
-        parameters = np.array(self.supercircuit.parameters, dtype=float)
-        seed = getattr(self.estimator.config, "seed", 0)
-        injector = self.fault_plan.injector("execution")
-        context_spec = (
-            (self.estimator.device, self.estimator.config, self.supercircuit)
-            if self.tenant is not None
-            else None
-        )
-        tasks: Dict[int, _ShardTask] = {}
-        for shard_index, shard in enumerate(shards):
-            tasks[shard_index] = _ShardTask(
-                shard_index=shard_index,
-                seed=stable_seed((seed, "shard", shard_index)),
-                parameters=parameters,
-                groups=[
-                    (key, indices, [candidates[i] for i in indices])
-                    for key, indices in shard
-                ],
-                payload=payload,
-                generation=generation,
-                injector=injector,
-                tenant=self.tenant,
-                context_spec=context_spec,
-            )
-        self.scheduler_stats.shards_dispatched += len(tasks)
-        stats = self.scheduler_stats
-        retried_before = stats.retried_shards
-        dispatcher = ResilientDispatcher(
-            self._pools, self.retry_policy, _run_shard, _ping, stats
-        )
-        results, task_errors = dispatcher.run(tasks)
-
-        confirmed: Dict[int, float] = {}
-        for shard_index in sorted(task_errors):
-            cause = task_errors[shard_index]
-            stats.task_error_confirmations += 1
-            try:
-                for _key, indices, subset in tasks[shard_index].groups:
-                    for index, score in zip(indices, in_process_fn(subset)):
-                        confirmed[int(index)] = float(score)
-            except Exception as confirmed_exc:
-                # the error reproduces without the worker machinery: a
-                # deterministic task bug — surface it, never retry it away
-                raise confirmed_exc from cause
-            stats.flaky_recoveries += 1
-        recovered = stats.retried_shards - retried_before
-        if recovered or task_errors:
-            warnings.warn(
-                f"sharded generation recovered from worker faults "
-                f"(retried_shards={recovered}, "
-                f"confirmed_task_errors={len(task_errors)}); scores unchanged",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return results, confirmed
-
-    # -- merging -------------------------------------------------------------
-
-    def _merge_generation(
-        self,
-        candidates: list,
-        results: Dict[int, _ShardResult],
-        confirmed: Dict[int, float],
-        populations_before: int,
-        candidates_before: int,
-    ) -> List[float]:
-        scores = [0.0] * len(candidates)
-        reports: List[dict] = []
-        for shard_index in sorted(results):
-            result = results[shard_index]
-            for index, score in result.scores:
-                scores[index] = score
-            self._merge_shard(result, reports)
-        for index in sorted(confirmed):
-            scores[index] = confirmed[index]
-        self.last_shard_reports = reports
-        # one generation counts exactly once, however the work was split
-        # between shard merges and in-process confirmation runs
-        self.stats.populations = populations_before + 1
-        self.stats.candidates = candidates_before + len(candidates)
-        return scores
-
-    def _merge_shard(self, result: _ShardResult, reports: List[dict]) -> None:
-        estimator = self.estimator
-        if result.spans:
-            # re-id the worker's span buffer into the parent tracer, hanging
-            # its roots under the open scheduler.generation span (a no-op
-            # when tracing is inactive — the buffer is simply dropped)
-            telemetry.adopt_spans(result.spans)
-        self.stats.merge(result.engine_stats)
-        estimator.num_queries += result.num_queries
-        estimator._backend.record_executions(result.backend_executions)
-        self.transpile_cache.stats.merge(result.bound_stats)
-        self.parametric_cache.stats.merge(result.parametric_stats)
-        self._adopt_entries(result)
-        reports.append(
-            {
-                "shard": result.shard_index,
-                "groups": result.n_groups,
-                "candidates": result.n_candidates,
-                "attempts": result.attempt + 1,
-                "elapsed_seconds": result.elapsed_seconds,
-                "transpile_seconds": (
-                    result.bound_stats.compile_seconds
-                    + result.parametric_stats.compile_seconds
-                    + result.parametric_stats.bind_seconds
-                ),
-            }
-        )
-
-    def _adopt_entries(self, result: _ShardResult) -> None:
-        stats = self.scheduler_stats
-        stats.adopted_bound_entries += self.transpile_cache.adopt_entries(
-            result.bound_entries
-        )
-        structures, bound = self.parametric_cache.adopt_entries(
-            result.parametric_entries
-        )
-        stats.adopted_structures += structures
-        stats.adopted_parametric_bound += bound
-
-    # -- degradation ----------------------------------------------------------
-
-    def _degrade(self, exc: RetriesExhausted) -> None:
-        """Account a failed generation and prepare the in-process retry.
-
-        Reached only when the resilient dispatcher exhausted every retry
-        round — the last resort, not the first response to a fault.
-        """
-        # adopt what the healthy shards compiled so the retry is warm;
-        # their stats/scores are dropped — the retry recounts everything
-        for shard_index in sorted(exc.results):
-            self._adopt_entries(exc.results[shard_index])
-        self.scheduler_stats.degraded_generations += 1
-        self.last_shard_reports = []
-        warnings.warn(
-            "sharded population evaluation degraded to the in-process path "
-            f"after exhausting shard retries: {exc.cause!r}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-    def _evaluate_in_process(
-        self,
-        candidates: list,
-        groups: "OrderedDict[Tuple, List[int]]",
-        in_process_fn: Callable[[list], List[float]],
-    ) -> List[float]:
-        """Group-at-a-time evaluation in the parent (contract rule 1).
-
-        Used when sharding is not worth a dispatch (``workers <= 1``, tiny
-        populations) and when a generation degrades after a worker fault —
-        producing exactly the floats the sharded path would have.
-        """
-        scores = [0.0] * len(candidates)
-        populations_before = self.stats.populations
-        for indices in groups.values():
-            subset = [candidates[i] for i in indices]
-            for index, score in zip(indices, in_process_fn(subset)):
-                scores[index] = score
-        # every per-group engine call counted itself as one population; this
-        # was one generation — collapse the counter explicitly
-        self.stats.populations = populations_before + 1
-        return scores

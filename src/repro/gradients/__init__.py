@@ -14,6 +14,7 @@ from .engine import (
     BatchedGradientEngine,
     GradientEngineConfig,
     GradientEngineStats,
+    gradient_engine,
 )
 from .sharded import GradientShardStats, ShardedGradientEngine
 
@@ -23,4 +24,5 @@ __all__ = [
     "GradientEngineStats",
     "GradientShardStats",
     "ShardedGradientEngine",
+    "gradient_engine",
 ]

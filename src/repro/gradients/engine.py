@@ -66,6 +66,7 @@ __all__ = [
     "GradientEngineConfig",
     "GradientEngineStats",
     "BatchedGradientEngine",
+    "gradient_engine",
 ]
 
 
@@ -558,3 +559,49 @@ class BatchedGradientEngine:
             structures.append(structure)
         self._vqe_structures[key] = (ansatz, plan, structures)
         return structures
+
+
+def gradient_engine(
+    backend: Optional[QuantumBackend] = None,
+    *,
+    initial_layout=None,
+    shots: Optional[int] = None,
+    engine: str = "batched",
+    workers: Optional[int] = None,
+    seed: int = 0,
+    optimization_level: int = 2,
+):
+    """The parameter-shift engine one training run owns (``close()`` it).
+
+    ``workers`` (default: ``REPRO_WORKERS``) > 1 shards the rows of every
+    step across worker processes, which always evaluate them sequentially;
+    otherwise the engine runs in-process and shares ``backend``'s caches, so
+    gradient compilations flow into the same warm state the
+    forward/evaluation paths reuse.  ``shots`` defaults to the backend's.
+    """
+    if workers is None:
+        workers = int(os.environ.get("REPRO_WORKERS", "1"))
+    device = backend.device if backend is not None else None
+    if backend is not None and shots is None:
+        shots = backend.shots
+    config = GradientEngineConfig(
+        shots=int(shots) if backend is not None else 0,
+        seed=int(seed),
+        optimization_level=int(optimization_level),
+        max_density_qubits=int(getattr(backend, "max_density_qubits", 10)),
+    )
+    if int(workers) > 1:
+        # imported here: the sharded engine builds on this module
+        from .sharded import ShardedGradientEngine
+
+        return ShardedGradientEngine(
+            device, config, initial_layout=initial_layout, workers=int(workers)
+        )
+    return BatchedGradientEngine(
+        device,
+        config,
+        initial_layout=initial_layout,
+        transpile_cache=getattr(backend, "transpile_cache", None),
+        parametric_cache=getattr(backend, "parametric_cache", None),
+        engine="batched" if engine == "auto" else engine,
+    )

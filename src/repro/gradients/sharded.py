@@ -1,78 +1,33 @@
 """Sharded multi-process parameter-shift gradient evaluation.
 
 :class:`ShardedGradientEngine` partitions one gradient step's evaluation
-rows (shifted weight vectors) across a persistent pool of worker processes,
-the way :class:`~repro.execution.scheduler.ShardedExecutionEngine` shards a
-population's structure groups across generations.  Each worker owns a full
-sequential-mode :class:`~repro.gradients.engine.BatchedGradientEngine` —
-including its own transpile/parametric caches, which stay warm across
-training epochs — and after every step each worker's *new* cache entries
-and counter deltas are merged back into the parent engine through the
-explicit :class:`~repro.execution.stats.MergeableStats` protocol.
-
-Determinism contract
---------------------
-Gradients are bit-for-bit independent of the worker count.  Three rules make
-that hold (mirroring the scheduler's contract):
-
-1. **The unit of evaluation is one weight row, everywhere.**  A row (one
-   shifted weight vector, all samples) is always evaluated through one
-   sequential-mode engine call — inside a worker, inside the parent when
-   ``workers <= 1``, and inside the parent again when a step degrades — so
-   the simulation batches, template binds and cache-state evolution a row
-   sees are identical no matter where it runs.  The same hermeticity makes
-   retrying a failed shard on a different pool bitwise safe.
-2. **Shard assignment is a pure function of the row count** —
-   ``np.array_split`` over the global row indices, never pool state.
-3. **Randomness is pinned by content.**  Shot-job seed keys and measured
-   VQE reseeds derive from *global* row labels shipped with each task, so
-   a row samples identically under any partition.  Both parent and worker
-   engines start from fresh caches with the step's center weights as the
-   template witness, so cold-compiled template variants match bit-for-bit
-   across processes.
-
-Resilience (see :mod:`repro.execution.resilience`)
---------------------------------------------------
-Shard failures are classified and handled exactly like the execution
-scheduler's: infrastructure faults (broken pool, deadline timeout flagged
-by the watchdog) are retried with capped backoff, rebalancing the failed
-shard's rows onto surviving workers while healthy shards' values are kept,
-and killed pools respawn in the background.  Worker task errors get one
-in-process confirmation run of the failed rows — transient errors recover
-with a warning, reproducing errors re-raise.  Whole-step in-process
-degradation (``degraded_steps``) remains only as the last resort when
-retries are exhausted.  ``REPRO_FAULTS`` (:mod:`repro.execution.faults`)
-injects deterministic faults for all of the above; a fault can delay a
-step but never change a gradient.
+rows (shifted weight vectors) across persistent worker processes, the way
+:class:`~repro.execution.scheduler.ShardedExecutionEngine` shards a
+population's structure groups.  Each worker owns a full sequential-mode
+:class:`~repro.gradients.engine.BatchedGradientEngine`, whose caches stay
+warm across training epochs.  This module is the weight-row adapter of the
+shard runtime in :mod:`repro.execution.shards`, whose module docstring
+states the determinism and resilience contract.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import dataclasses
+import functools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .. import telemetry
-from ..telemetry.spans import SpanRecord
-from ..execution.cache import ParametricCacheStats, TranspileCacheStats
-from ..execution.faults import FaultInjector, FaultPlan
-from ..execution.resilience import (
-    ResilientDispatcher,
-    RetriesExhausted,
-    RetryPolicy,
-    WorkerPoolGroup,
-)
-from ..execution.stats import MergeableStats
-from ..utils.rng import stable_seed
+from ..execution.faults import FaultPlan
+from ..execution.shards import ShardContext, ShardRuntime, ShardStats
 from .engine import BatchedGradientEngine, GradientEngineConfig
 
 __all__ = ["GradientShardStats", "ShardedGradientEngine"]
 
 
 @dataclass
-class GradientShardStats(MergeableStats):
+class GradientShardStats(ShardStats):
     """Counters describing what the sharded gradient scheduler did."""
 
     steps: int = 0
@@ -80,41 +35,13 @@ class GradientShardStats(MergeableStats):
     in_process_steps: int = 0
     #: whole-step in-process fallbacks only — the genuine last resort
     degraded_steps: int = 0
-    shards_dispatched: int = 0
-    worker_failures: int = 0
-    #: infrastructure-failed shard tasks re-dispatched (retry rounds)
-    retried_shards: int = 0
-    #: retried tasks that ran on a pool other than their home pool
-    rebalanced_shards: int = 0
-    #: dead pools brought back in the background after a step
-    respawned_pools: int = 0
-    #: shards the watchdog declared hung past their deadline
-    deadline_timeouts: int = 0
-    #: wall time the watchdog spent gathering deadline-bounded rounds
-    watchdog_wait_seconds: float = 0.0
-    #: worker task errors re-run once in-process for confirmation
-    task_error_confirmations: int = 0
-    #: confirmations that succeeded — transient faults recovered in place
-    flaky_recoveries: int = 0
-    adopted_bound_entries: int = 0
-    adopted_structures: int = 0
-    adopted_parametric_bound: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Task / result payloads crossing the process boundary
-# ---------------------------------------------------------------------------
 
 
 # repro: pickle-boundary
 @dataclass
-class _GradientShardTask:
+class _RowShard:
     """One shard's slice of a gradient step's evaluation rows."""
 
-    shard_index: int
-    #: shard-stable seed (defensive, like the scheduler's rule 3: no sharded
-    #: gradient path consumes an unpinned stream today)
-    seed: int
     kind: str                         # "qml" | "vqe"
     circuit: object                   # the QML circuit / VQE ansatz
     rows: np.ndarray                  # this shard's weight rows
@@ -122,189 +49,95 @@ class _GradientShardTask:
     witness_weights: np.ndarray       # the step's center weight vector
     features: Optional[np.ndarray]    # QML feature batch (None for VQE)
     plan: Optional[object]            # VQE MeasurementPlan (None for QML)
-    #: 0-based step index, the ``gen`` coordinate for fault scoping
-    generation: int = 0
-    #: dispatch attempt of this task (0 = first dispatch, +1 per retry)
-    attempt: int = 0
-    #: deterministic fault-injection trigger (None outside chaos runs)
-    injector: Optional[FaultInjector] = None
 
 
-# repro: pickle-boundary
-@dataclass
-class _GradientShardResult:
-    """Row values plus the accounting deltas one shard produced."""
+def _row_values(engine: BatchedGradientEngine, shard: _RowShard) -> np.ndarray:
+    """Every row of ``shard`` through one engine call (contract rule 1).
 
-    shard_index: int
-    values: np.ndarray
-    engine_stats: object
-    bound_stats: TranspileCacheStats
-    parametric_stats: ParametricCacheStats
-    bound_entries: list
-    parametric_entries: dict
-    elapsed_seconds: float = 0.0
-    attempt: int = 0
-    #: the worker-side telemetry spans for this shard (always captured —
-    #: the parent re-ids them into its tracer when tracing is active and
-    #: drops them otherwise; see ``_GradientWorkerContext.run``)
-    spans: List[SpanRecord] = field(default_factory=list)
+    Calls the unsharded :class:`BatchedGradientEngine` methods explicitly, so
+    the parent's sharded engine evaluates rows exactly as a worker's does.
+    """
+    if shard.kind == "qml":
+        return BatchedGradientEngine.qml_expectations_rows(
+            engine,
+            shard.circuit,
+            shard.rows,
+            shard.features,
+            row_labels=shard.row_labels,
+            witness_weights=shard.witness_weights,
+        )
+    return BatchedGradientEngine.vqe_energy_rows(
+        engine,
+        shard.circuit,
+        shard.plan,
+        shard.rows,
+        row_labels=shard.row_labels,
+        witness_weights=shard.witness_weights,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Worker-process side
-# ---------------------------------------------------------------------------
+def _row_slice(shard: _RowShard, rows: slice) -> _RowShard:
+    return dataclasses.replace(
+        shard, rows=shard.rows[rows], row_labels=shard.row_labels[rows]
+    )
 
 
-class _GradientWorkerContext:
-    """Per-process sequential gradient engine plus export bookkeeping."""
+class _RowContext(ShardContext):
+    """Per-process sequential gradient engine."""
+
+    span_name = "worker.gradient_shard"
+    dispatch_unit = "step"
 
     def __init__(self, device, config, initial_layout) -> None:
-        self.engine = BatchedGradientEngine(
+        engine = BatchedGradientEngine(
             device, config, initial_layout=initial_layout, engine="sequential"
         )
-        self.exported_bound: set = set()
-        self.exported_structures: set = set()
-        self.exported_parametric_bound: set = set()
-
-    def _fire(self, task: _GradientShardTask, point: str) -> None:
-        if task.injector is not None:
-            task.injector.fire(
-                point, task.shard_index, task.generation, task.attempt
-            )
-
-    def _rows(self, task: _GradientShardTask, rows, labels) -> np.ndarray:
-        if task.kind == "qml":
-            return self.engine.qml_expectations_rows(
-                task.circuit,
-                rows,
-                task.features,
-                row_labels=labels,
-                witness_weights=task.witness_weights,
-            )
-        return self.engine.vqe_energy_rows(
-            task.circuit,
-            task.plan,
-            rows,
-            row_labels=labels,
-            witness_weights=task.witness_weights,
+        super().__init__(
+            engine, engine.transpile_cache, engine.parametric_transpile_cache
         )
 
-    def run(self, task: _GradientShardTask) -> _GradientShardResult:
-        """Evaluate one shard task, always under a telemetry capture.
-
-        Mirrors ``_WorkerContext.run``: the capture runs whether or not
-        tracing was requested, and the root ``worker.gradient_shard``
-        span's duration doubles as the shard's ``elapsed_seconds`` report.
-        """
-        self._fire(task, "task_receive")
-        tracer = telemetry.get_tracer()
-        with tracer.capture() as spans:
-            with tracer.span(
-                "worker.gradient_shard",
-                shard=task.shard_index,
-                step=task.generation,
-                attempt=task.attempt,
-            ):
-                result = self._execute(task)
-        # observation-only payload riding home on the result — nothing here
-        # feeds gradient values, seeds or scheduling
-        result.spans = spans
-        result.elapsed_seconds = spans[-1].duration
-        self._fire(task, "result_send")
-        return result  # repro: ignore[telemetry-flow] -- span buffer + root-span elapsed ride the shard result as its observational timing report
-
-    def _execute(self, task: _GradientShardTask) -> _GradientShardResult:
-        engine = self.engine
-        engine_before = engine.stats.copy()
-        bound_before = engine.transpile_cache.stats.copy()
-        parametric_before = engine.parametric_transpile_cache.stats.copy()
-
-        if task.injector is not None and len(task.rows) > 1:
+    def evaluate(self, task) -> np.ndarray:
+        shard: _RowShard = task.work
+        if task.injector is not None and len(shard.rows) > 1:
             # split after the first row so mid_evaluation faults discard
             # partially completed work; rows are hermetic (contract rule 1),
             # so the split never changes a value — and it only happens under
             # an active fault plan, so fault-free stats stay comparable
-            head = self._rows(task, task.rows[:1], task.row_labels[:1])
-            self._fire(task, "mid_evaluation")
-            tail = self._rows(task, task.rows[1:], task.row_labels[1:])
-            values = np.concatenate([head, tail], axis=0)
-        else:
-            values = self._rows(task, task.rows, task.row_labels)
-            self._fire(task, "mid_evaluation")
-
-        bound_entries = engine.transpile_cache.export_entries(self.exported_bound)
-        parametric_entries = engine.parametric_transpile_cache.export_entries(
-            self.exported_structures, self.exported_parametric_bound
-        )
-        # Exclusion sets are refreshed from the caches (not accumulated): an
-        # entry evicted worker-side and recompiled later must ship again, and
-        # the sets must stay bounded by the cache sizes.
-        self.exported_bound = engine.transpile_cache.export_keys()
-        self.exported_structures, self.exported_parametric_bound = (
-            engine.parametric_transpile_cache.export_keys()
-        )
-        return _GradientShardResult(
-            shard_index=task.shard_index,
-            values=values,
-            engine_stats=engine.stats.diff(engine_before),
-            bound_stats=engine.transpile_cache.stats.diff(bound_before),
-            parametric_stats=engine.parametric_transpile_cache.stats.diff(
-                parametric_before
-            ),
-            bound_entries=bound_entries,
-            parametric_entries=parametric_entries,
-            attempt=task.attempt,
-        )
-
-
-_GRADIENT_WORKER_CONTEXT: Optional[_GradientWorkerContext] = None
-
-
-def _init_gradient_worker(device, config, initial_layout, spawn_probe=None) -> None:
-    if spawn_probe is not None:
-        injector, shard_index, generation, attempt = spawn_probe
-        injector.fire("pool_spawn", shard_index, generation, attempt)
-    global _GRADIENT_WORKER_CONTEXT
-    _GRADIENT_WORKER_CONTEXT = _GradientWorkerContext(
-        device, config, initial_layout
-    )
-
-
-def _run_gradient_shard(task: _GradientShardTask) -> _GradientShardResult:
-    if _GRADIENT_WORKER_CONTEXT is None:
-        raise RuntimeError("gradient worker used before _init_gradient_worker")
-    return _GRADIENT_WORKER_CONTEXT.run(task)
-
-
-def _ping(value: int) -> int:
-    """No-op task used by warm-up pings and background pool respawns."""
-    return value
+            head = _row_values(self.engine, _row_slice(shard, slice(None, 1)))
+            self.fire(task, "mid_evaluation")
+            tail = _row_values(self.engine, _row_slice(shard, slice(1, None)))
+            return np.concatenate([head, tail], axis=0)
+        values = _row_values(self.engine, shard)
+        self.fire(task, "mid_evaluation")
+        return values
 
 
 # ---------------------------------------------------------------------------
-# Parent-process scheduler
+# Parent-process engine
 # ---------------------------------------------------------------------------
 
 
-class ShardedGradientEngine:
+class ShardedGradientEngine(ShardRuntime, BatchedGradientEngine):
     """A gradient engine that fans evaluation rows out to worker processes.
 
-    Drop-in for the sequential-mode :class:`BatchedGradientEngine` (it owns
-    one for the in-process, confirmation and degraded paths):
+    Drop-in for the sequential-mode :class:`BatchedGradientEngine` (it *is*
+    one, used for the in-process, confirmation and degraded paths):
     ``shift_plan``, ``qml_expectations_rows`` and ``vqe_energy_rows`` have
-    identical signatures and — by the determinism contract above — produce
+    identical signatures and — by the determinism contract — produce
     identical floats.  Both the parent engine and every worker start from
     *fresh* caches, so warm state never depends on what ran before the
     engine was constructed.
 
     The retry/deadline policy reads the ``shard_*`` fields off the gradient
     config (:class:`~repro.gradients.engine.GradientEngineConfig`);
-    ``fault_plan`` (default: parsed from ``REPRO_FAULTS``) drives the
-    deterministic chaos harness.
-
-    Call :meth:`close` (or use the context-manager protocol) to shut the
-    worker pools down.
+    ``fault_plan`` is described on :class:`~repro.execution.shards.
+    ShardRuntime`.
     """
+
+    fault_engine = "gradient"
+    dispatch_span = "gradient.step"
+    dispatch_unit = "step"
+    seed_tag = "gradient-shard"
 
     def __init__(
         self,
@@ -314,111 +147,30 @@ class ShardedGradientEngine:
         initial_layout=None,
         workers: int = 1,
         fault_plan: Optional[FaultPlan] = None,
-        pools: Optional[WorkerPoolGroup] = None,
     ) -> None:
-        self.device = device
-        self.config = config if config is not None else GradientEngineConfig()
-        self.initial_layout = initial_layout
-        self.workers = int(workers)
-        self.engine = BatchedGradientEngine(
-            device, self.config, initial_layout=initial_layout,
-            engine="sequential",
+        super().__init__(
+            device, config, initial_layout=initial_layout, engine="sequential"
         )
-        self.scheduler_stats = GradientShardStats()
-        self.last_shard_reports: List[dict] = []
-        self.retry_policy = RetryPolicy.from_config(self.config)
-        self.fault_plan = (
-            FaultPlan.from_env() if fault_plan is None else fault_plan
+        self._init_shards(
+            workers,
+            self.config,
+            GradientShardStats(),
+            (self.transpile_cache, self.parametric_transpile_cache),
+            fault_plan=fault_plan,
         )
-        self._current_step = 0
-        if pools is not None:
-            # Externally-owned pool group: the caller controls the pool
-            # lifecycle (close() leaves it running) and must have spawned it
-            # with this engine's gradient worker initializer — gradient
-            # worker contexts are built entirely from initargs, so a shared
-            # group serves exactly one (device, config, layout) triple.
-            self._owns_pools = False
-            self._pools = pools
-            self.workers = min(self.workers, pools.size)
-        else:
-            self._owns_pools = True
-            # One single-process pool per shard slot, so shard i always runs
-            # in the same worker process and its caches stay warm across
-            # steps.
-            self._pools = WorkerPoolGroup(
-                max(0, self.workers), _init_gradient_worker, self._spawn_initargs
-            )
 
-    def _spawn_initargs(self, shard_index: int, spawn_attempt: int) -> tuple:
-        injector = self.fault_plan.injector("gradient")
-        probe = (
-            (injector, shard_index, self._current_step, spawn_attempt)
-            if injector is not None
-            else None
+    # -- adapter hooks ---------------------------------------------------------
+
+    def _context_spec(self) -> functools.partial:
+        return functools.partial(
+            _RowContext, self.device, self.config, self.initial_layout
         )
-        return (self.device, self.config, self.initial_layout, probe)
 
-    # -- delegation -----------------------------------------------------------
+    def _confirm(self, shard: _RowShard) -> np.ndarray:
+        return _row_values(self, shard)
 
-    @property
-    def stats(self):
-        return self.engine.stats
-
-    @property
-    def transpile_cache(self):
-        return self.engine.transpile_cache
-
-    @property
-    def parametric_transpile_cache(self):
-        return self.engine.parametric_transpile_cache
-
-    @property
-    def engine_mode(self) -> str:
-        return "sharded"
-
-    def resolve_mode(self) -> str:
-        return self.engine.resolve_mode()
-
-    def shift_plan(self, circuit):
-        return self.engine.shift_plan(circuit)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def _executors(self):
-        """The per-shard pool slots (None = not spawned / killed)."""
-        return self._pools.slots
-
-    def warm_up(self) -> None:
-        """Start the worker pools ahead of time (overlapping startups)."""
-        if self.workers > 1:
-            futures = [
-                self._pools.ensure(shard_index).submit(_ping, shard_index)
-                for shard_index in range(self.workers)
-            ]
-            for future in futures:
-                future.result()
-
-    def close(self) -> None:
-        """Shut every worker pool down (idempotent, safe on partial init).
-
-        Externally-owned pool groups are left running for their owner.
-        """
-        pools = getattr(self, "_pools", None)
-        if pools is not None and getattr(self, "_owns_pools", True):
-            pools.close()
-
-    def __enter__(self) -> "ShardedGradientEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort; close()/__exit__ is the real API
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _report(self, shard: _RowShard, result) -> dict:
+        return {"rows": int(result.engine_stats.rows_evaluated)}
 
     # -- evaluation -----------------------------------------------------------
 
@@ -430,10 +182,6 @@ class ShardedGradientEngine:
         row_labels: Optional[np.ndarray] = None,
         witness_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            features = features[None, :]
         return self._evaluate(
             "qml", circuit, rows, row_labels, witness_weights,
             features=features, plan=None,
@@ -447,7 +195,6 @@ class ShardedGradientEngine:
         row_labels: Optional[np.ndarray] = None,
         witness_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
         return self._evaluate(
             "vqe", ansatz, rows, row_labels, witness_weights,
             features=None, plan=plan,
@@ -456,186 +203,30 @@ class ShardedGradientEngine:
     def _evaluate(
         self, kind, circuit, rows, row_labels, witness_weights, features, plan
     ) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise ValueError("gradient engines expect a 2-D row matrix")
         n_rows = rows.shape[0]
-        labels = (
-            np.arange(n_rows)
-            if row_labels is None
-            else np.asarray(row_labels, dtype=int).ravel()
-        )
-        witness = (
-            np.asarray(rows[0], dtype=float)
-            if witness_weights is None
-            else np.asarray(witness_weights, dtype=float).ravel()
-        )
-        step = self.scheduler_stats.steps
-        self.scheduler_stats.steps += 1
-        self._current_step = step
+        labels = self._labels(n_rows, row_labels)
+        witness = self._witness(rows, witness_weights)
+        whole = _RowShard(kind, circuit, rows, labels, witness, features, plan)
         shard_count = min(self.workers, n_rows)
-
-        def in_process(split: np.ndarray) -> np.ndarray:
-            if kind == "qml":
-                return self.engine.qml_expectations_rows(
-                    circuit, rows[split], features,
-                    row_labels=labels[split], witness_weights=witness,
-                )
-            return self.engine.vqe_energy_rows(
-                circuit, plan, rows[split],
-                row_labels=labels[split], witness_weights=witness,
-            )
-
-        all_rows = np.arange(n_rows)
-        if shard_count <= 1:
-            self.scheduler_stats.in_process_steps += 1
-            self.last_shard_reports = []
-            return in_process(all_rows)
-
-        splits = np.array_split(all_rows, shard_count)
-        with telemetry.span(
-            "gradient.step",
-            step=step, kind=kind, shards=shard_count, rows=int(n_rows),
-        ):
-            try:
-                results, confirmed = self._run_resilient(
-                    kind, circuit, rows, labels, witness, features, plan,
-                    splits, step, in_process,
-                )
-            except RetriesExhausted as exc:
-                self._degrade(exc)
-                return in_process(all_rows)
-            self.scheduler_stats.sharded_steps += 1
-            return self._merge_results(results, confirmed, splits, rows.shape)
-
-    def _run_resilient(
-        self, kind, circuit, rows, labels, witness, features, plan,
-        splits, step, in_process_fn,
-    ):
-        """Dispatch one step under the retry/deadline policy.
-
-        Returns ``(shard results, confirmed values)`` where confirmed values
-        are shard-index→row-values recovered from worker task errors by the
-        one-shot in-process confirmation run.  A task error that reproduces
-        in-process is re-raised: it is a real bug, not a fault.
-        """
-        seed = int(self.config.seed)
-        injector = self.fault_plan.injector("gradient")
-        tasks: Dict[int, _GradientShardTask] = {}
-        for shard_index, split in enumerate(splits):
-            tasks[shard_index] = _GradientShardTask(
-                shard_index=shard_index,
-                seed=stable_seed((seed, "gradient-shard", shard_index)),
-                kind=kind,
-                circuit=circuit,
-                rows=rows[split],
-                row_labels=labels[split],
-                witness_weights=witness,
-                features=features,
-                plan=plan,
-                generation=step,
-                injector=injector,
-            )
-        self.scheduler_stats.shards_dispatched += len(tasks)
-        stats = self.scheduler_stats
-        retried_before = stats.retried_shards
-        dispatcher = ResilientDispatcher(
-            self._pools, self.retry_policy, _run_gradient_shard, _ping, stats
+        shards = (
+            [
+                _row_slice(whole, slice(split[0], split[-1] + 1))
+                for split in np.array_split(np.arange(n_rows), shard_count)
+            ]
+            if shard_count > 1
+            else [whole]
         )
-        results, task_errors = dispatcher.run(tasks)
-
-        confirmed: Dict[int, np.ndarray] = {}
-        for shard_index in sorted(task_errors):
-            cause = task_errors[shard_index]
-            stats.task_error_confirmations += 1
-            try:
-                confirmed[shard_index] = in_process_fn(splits[shard_index])
-            except Exception as confirmed_exc:
-                # the error reproduces without the worker machinery: a
-                # deterministic task bug — surface it, never retry it away
-                raise confirmed_exc from cause
-            stats.flaky_recoveries += 1
-        recovered = stats.retried_shards - retried_before
-        if recovered or task_errors:
-            warnings.warn(
-                f"sharded gradient step recovered from worker faults "
-                f"(retried_shards={recovered}, "
-                f"confirmed_task_errors={len(task_errors)}); values unchanged",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-        return results, confirmed
-
-    # -- merging -------------------------------------------------------------
-
-    def _merge_results(
-        self, results: Dict[int, _GradientShardResult], confirmed, splits,
-        rows_shape,
-    ) -> np.ndarray:
-        first = np.asarray(
-            next(iter(results.values())).values
-            if results
-            else confirmed[min(confirmed)]
-        )
-        out_shape = (rows_shape[0],) + first.shape[1:]
-        out = np.empty(out_shape, dtype=first.dtype)
-        reports: List[dict] = []
-        for shard_index in sorted(results):
-            result = results[shard_index]
-            out[splits[shard_index]] = result.values
-            self._merge_shard(result, reports)
-        for shard_index in sorted(confirmed):
-            out[splits[shard_index]] = confirmed[shard_index]
-        self.last_shard_reports = reports
-        return out
-
-    def _merge_shard(
-        self, result: _GradientShardResult, reports: List[dict]
-    ) -> None:
-        if result.spans:
-            # re-parent the worker's spans under the open gradient.step
-            # span; a no-op (dropped buffer) when tracing is inactive
-            telemetry.adopt_spans(result.spans)
-        self.engine.stats.merge(result.engine_stats)
-        self.transpile_cache.stats.merge(result.bound_stats)
-        self.parametric_transpile_cache.stats.merge(result.parametric_stats)
-        self._adopt_entries(result)
-        reports.append(
-            {
-                "shard": result.shard_index,
-                "rows": int(result.engine_stats.rows_evaluated),
-                "attempts": result.attempt + 1,
-                "elapsed_seconds": result.elapsed_seconds,
-            }
-        )
-
-    def _adopt_entries(self, result: _GradientShardResult) -> None:
-        stats = self.scheduler_stats
-        stats.adopted_bound_entries += self.transpile_cache.adopt_entries(
-            result.bound_entries
-        )
-        structures, bound = self.parametric_transpile_cache.adopt_entries(
-            result.parametric_entries
-        )
-        stats.adopted_structures += structures
-        stats.adopted_parametric_bound += bound
-
-    # -- degradation ----------------------------------------------------------
-
-    def _degrade(self, exc: RetriesExhausted) -> None:
-        """Account a failed step and prepare the in-process retry.
-
-        Reached only when the resilient dispatcher exhausted every retry
-        round — the last resort, not the first response to a fault.
-        """
-        # adopt what the healthy shards compiled so the retry is warm;
-        # their stats/values are dropped — the retry recounts everything
-        for shard_index in sorted(exc.results):
-            self._adopt_entries(exc.results[shard_index])
-        self.scheduler_stats.degraded_steps += 1
-        self.last_shard_reports = []
-        warnings.warn(
-            "sharded gradient evaluation degraded to the in-process path "
-            f"after exhausting shard retries: {exc.cause!r}",
-            RuntimeWarning,
-            stacklevel=4,
+        # shards are contiguous row ranges in order, so concatenating their
+        # values by shard index restores the step's row order
+        return self._run_dispatch(
+            shards,
+            lambda: _row_values(self, whole),
+            lambda outputs: np.concatenate(
+                [outputs[index] for index in sorted(outputs)], axis=0
+            ),
+            kind=kind,
+            rows=int(n_rows),
         )

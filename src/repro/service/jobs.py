@@ -183,5 +183,6 @@ class _JobRuntime:
         )
 
     def close(self) -> None:
-        # shared pools survive this (the engine does not own them)
+        # shared pools survive this (the engine does not own them); their
+        # workers are told to drop this tenant's context
         self.engine.close()

@@ -6,8 +6,9 @@ Two instruments over one contract:
   windows with attributes, recorded to an in-memory ring buffer and
   (with ``REPRO_TRACE=<path>``) appended to a JSONL trace file.  Worker
   processes record their spans into capture buffers that ride home inside
-  the existing ``_ShardResult`` payloads and re-parent under the
-  dispatching generation span (:func:`adopt_spans`).
+  the shard runtime's ``_ShardResult`` payloads
+  (:mod:`repro.execution.shards`) and re-parent under the dispatching
+  generation or gradient-step span (:func:`adopt_spans`).
 * **Metrics** (:mod:`~repro.telemetry.metrics`) — labelled
   counters/gauges/histograms (per-tenant service accounting, per-backend
   job counts, per-phase engine timings), readable as a plain snapshot or

@@ -12,8 +12,9 @@ file:
 Spawned workers never construct a writer at all — the arming code in
 :mod:`repro.telemetry` only attaches one in the main process
 (``multiprocessing.parent_process() is None``).  Worker spans still reach
-the file: they ride home inside ``_ShardResult`` payloads and the parent
-writes them after adoption.
+the file: they ride home inside the shard runtime's ``_ShardResult``
+payloads (:mod:`repro.execution.shards`) and the parent writes them after
+adoption.
 """
 
 from __future__ import annotations

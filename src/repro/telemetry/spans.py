@@ -4,8 +4,9 @@ A :class:`SpanRecord` is a flat, picklable dataclass — name, integer span
 id, optional parent id, start/end timestamps from the
 :mod:`repro.utils.clock` seam, and a plain attribute dict.  Records are
 what ride across process boundaries (worker shards return their span
-buffers inside ``_ShardResult`` payloads) and what the JSONL trace file
-stores, so they carry no object references.
+buffers inside the shard runtime's ``_ShardResult`` payloads, see
+:mod:`repro.execution.shards`) and what the JSONL trace file stores, so
+they carry no object references.
 
 A :class:`Tracer` owns the live state: a bounded ring buffer of finished
 records, the stack of currently-open spans (nesting = parent links), and

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..devices.backend import QuantumBackend
-from ..gradients import (
-    BatchedGradientEngine,
-    GradientEngineConfig,
-    ShardedGradientEngine,
-)
+from ..gradients import gradient_engine
 from ..quantum.autodiff import adjoint_gradient
 from ..quantum.circuit import ParameterizedCircuit, QuantumCircuit
 from ..quantum.measurement import MeasurementPlan
@@ -158,7 +153,11 @@ class VQEModel:
         )
         engine = None
         if config.gradient == "parameter_shift":
-            engine = self._gradient_engine(config, backend, initial_layout)
+            engine = gradient_engine(
+                backend, initial_layout=initial_layout, shots=config.shots,
+                engine=config.gradient_engine, workers=config.gradient_workers,
+                seed=config.seed, optimization_level=config.optimization_level,
+            )
         elif config.gradient != "adjoint":
             raise ValueError(f"unknown VQE gradient {config.gradient!r}")
         try:
@@ -190,45 +189,6 @@ class VQEModel:
             if engine is not None:
                 engine.close()
         return VQEResult(weights=weights, energies=energies)
-
-    def _gradient_engine(
-        self,
-        config: VQEConfig,
-        backend: Optional[QuantumBackend],
-        initial_layout,
-    ):
-        """Build the parameter-shift engine one training run owns."""
-        engine_mode = config.gradient_engine
-        if engine_mode == "auto":
-            engine_mode = "batched"
-        workers = config.gradient_workers
-        if workers is None:
-            workers = int(os.environ.get("REPRO_WORKERS", "1"))
-        device = backend.device if backend is not None else None
-        if backend is None:
-            shots = 0
-        else:
-            shots = int(
-                backend.shots if config.shots is None else config.shots
-            )
-        engine_config = GradientEngineConfig(
-            shots=shots,
-            seed=int(config.seed),
-            optimization_level=int(config.optimization_level),
-            max_density_qubits=int(getattr(backend, "max_density_qubits", 10)),
-        )
-        if int(workers) > 1:
-            return ShardedGradientEngine(
-                device, engine_config,
-                initial_layout=initial_layout, workers=int(workers),
-            )
-        return BatchedGradientEngine(
-            device, engine_config,
-            initial_layout=initial_layout,
-            transpile_cache=getattr(backend, "transpile_cache", None),
-            parametric_cache=getattr(backend, "parametric_cache", None),
-            engine=engine_mode,
-        )
 
     def _shift_energy_and_gradient(self, engine, weights: np.ndarray):
         """One batched shift-rule step: center + shifted rows, one dispatch."""

@@ -213,7 +213,7 @@ class TestRetryPolicy:
 
 
 class _Stats:
-    """Bare counter bag carrying the ResilienceCounters fields."""
+    """Bare counter bag carrying the dispatcher's resilience fields."""
 
     def __init__(self):
         self.worker_failures = 0

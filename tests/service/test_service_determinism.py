@@ -110,6 +110,25 @@ def solo_vqe(seed):
         )
 
 
+def worker_contexts():
+    """The tenant contexts the shard worker running this task holds."""
+    from repro.execution import shards
+
+    return sorted(shards._CONTEXTS)
+
+
+def held_contexts(service):
+    """``worker_contexts()`` of every live slot of the service's pools.
+
+    Each slot is a single-process pool that runs its tasks in submission
+    order, so the probe sees every release submitted before it.
+    """
+    return [
+        service.pools.slots[index].submit(worker_contexts).result()
+        for index in service.pools.alive_indices()
+    ]
+
+
 class TestServiceDeterminism:
     def test_concurrent_tenants_match_solo_runs_bitwise(self, tiny_dataset):
         """Three tenants (2 QML seeds + 1 VQE, two devices) on one shared
@@ -155,6 +174,23 @@ class TestServiceDeterminism:
             service.run()
             assert "alpha" not in service._runtimes
             assert service.pools.size == 2
+
+    def test_retired_tenants_release_their_worker_contexts(self):
+        """A finished tenant's estimator, engine and caches must not stay
+        alive in the shared workers until the service closes."""
+        with CoSearchService(max_workers=2, max_concurrent_jobs=3) as service:
+            for name, seed in (("a", 7), ("b", 8), ("c", 9)):
+                service.submit(vqe_job(name, seed=seed))
+            service.step()
+            # the probe sees the context a running tenant keeps warm
+            assert any(held == ["a"] for held in held_contexts(service))
+            service.run()
+            assert all(
+                handle.state == "done" for handle in service.handles.values()
+            )
+            held = held_contexts(service)
+        assert len(held) == 2
+        assert held == [[], []]
 
     def test_suspend_resume_is_bitwise(self, tiny_dataset, tmp_path):
         solo = solo_qml(tiny_dataset, seed=5)
