@@ -1,7 +1,9 @@
 """``# repro:`` comment directives.
 
 Two directives are recognized, both parsed with :mod:`tokenize` so they are
-found only in real comments (never in strings):
+found only in real comments (never in strings), and only where the directive
+opens its comment — a comment that merely quotes one (say a ``#:`` doc
+comment) is not a directive:
 
 ``# repro: ignore[rule-id]`` / ``# repro: ignore[rule-a, rule-b]``
     Suppress the named rules.  A trailing comment suppresses findings on its
@@ -54,14 +56,14 @@ def parse_suppressions(source: str) -> Tuple[SuppressionTable, Set[int]]:
         line_text = token.line
         standalone = line_text[: token.start[1]].strip() == ""
         target = line_no + 1 if standalone else line_no
-        match = _IGNORE_RE.search(token.string)
+        match = _IGNORE_RE.match(token.string)
         if match:
             rules = {
                 rule.strip() for rule in match.group(1).split(",") if rule.strip()
             }
             if rules:
                 suppressions.setdefault(target, set()).update(rules)
-        if _BOUNDARY_RE.search(token.string) and standalone:
+        if _BOUNDARY_RE.match(token.string) and standalone:
             markers.add(target)
     return suppressions, markers
 

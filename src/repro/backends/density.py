@@ -1,30 +1,34 @@
 """Batched density-matrix simulation backend (the ``noise_sim`` engine).
 
-This is the in-repo noisy simulator that used to live inside
-``repro.execution.engine``, refactored behind the
-:class:`~repro.backends.base.SimulationBackend` protocol with zero numeric
-change: every job's result is produced by the same sequence of unitary/Kraus
-applications that :class:`~repro.quantum.density_matrix.
-DensityMatrixSimulator` would perform sample-by-sample — the batch dimension
-only stacks them.
+Both job shapes below run one
+:class:`~repro.quantum.density_matrix.NoisySlotProgram`: every slot — a gate
+plus the Kraus channels the noise model attaches after it — is one fused
+local superoperator on the (ket, bra) axes of the gate's 1-2 qubits, and
+every parametric RZ is an elementwise per-row phase whose noise is deferred
+into the next fused superoperator on its qubit.  Equivalence contract:
+
+* every row equals what :class:`~repro.quantum.density_matrix.
+  DensityMatrixSimulator` (the sequential oracle, one unitary/Kraus
+  application at a time) produces for that circuit, within ``1e-12``;
+* every row is bitwise deterministic: a pure function of its own circuit,
+  whatever rows share its batch or stack.
 
 Two job shapes are supported:
 
 * ``compiled`` jobs — one :class:`CompiledCircuit` each, deduplicated by
   object identity and grouped by reduced-circuit structure (same gates and
   qubits at every position) so a whole group evolves as one
-  ``(batch,) + (2,) * 2n`` stack.  Noise channels depend only on gate arity
-  and qubits, never on parameters, so they are derived once per position
-  instead of once per circuit.
+  ``(batch,) + (2,) * 2n`` stack.  Positions whose parameters differ across
+  the group become per-row parametric slots.
 
 * ``template_batch`` jobs — one
   :class:`~repro.transpile.parametric.TemplateBatchBinding` covering many
   parameter rows of one compiled structure.  The rows are already
-  structurally aligned by construction, each parametric slot's angles arrive
-  as a dense ``(rows, k)`` array out of the template's single affine matmul,
-  and the per-position batched RZ matrices are built straight from those
-  angle columns — the ``noise_sim`` hot loop never constructs per-sample
-  ``Instruction`` objects at all.
+  structurally aligned by construction and each parametric slot's angles
+  arrive as a dense ``(rows, k)`` array out of the template's single affine
+  matmul, from which the program builds its RZ phases directly — the
+  ``noise_sim`` hot loop never constructs per-sample ``Instruction``
+  objects at all.
 """
 
 from __future__ import annotations
@@ -35,15 +39,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..devices.backend import approximate_probabilities, logical_probabilities
-from ..quantum.circuit import Instruction
 from ..quantum.density_matrix import (
-    apply_kraus_batch,
-    apply_unitary_batch,
+    NoisySlotProgram,
     density_probabilities,
     expectation_pauli_sum_dm,
-    zero_density_matrices,
 )
-from ..quantum.gates import gate_matrix
 from .base import (
     BackendCapabilities,
     JobResult,
@@ -75,24 +75,6 @@ def _z_expectations_from_logical_probs(
         marginal = probs.sum(axis=axes)
         out[qubit] = marginal[0] - marginal[1]
     return out
-
-
-def _batched_gate_matrices(gate: str, params: np.ndarray) -> np.ndarray:
-    """``(rows, 2**k, 2**k)`` gate matrices from per-row parameter columns.
-
-    RZ — the only parametric gate of the physical basis — is built fully
-    vectorized with the same ``cos(theta/2) I - i sin(theta/2) Z`` formula as
-    :func:`repro.quantum.gates.gate_matrix`; anything else falls back to
-    stacking the registry constructor per row.
-    """
-    if gate == "rz":
-        half = 0.5 * params[:, 0]
-        cos, sin = np.cos(half), np.sin(half)
-        matrices = np.zeros((params.shape[0], 2, 2), dtype=complex)
-        matrices[:, 0, 0] = cos - 1j * sin
-        matrices[:, 1, 1] = cos + 1j * sin
-        return matrices
-    return np.stack([gate_matrix(gate, tuple(row)) for row in params])
 
 
 class DensityJob(JobResult):
@@ -218,12 +200,13 @@ class TemplateBatchJob:
 class BatchedDensityRunner:
     """Groups compiled circuits by structure and simulates each group batched.
 
-    Equivalence contract: every job's result is produced by the same sequence
-    of unitary/Kraus applications that :class:`DensityMatrixSimulator` would
-    perform sample-by-sample — the batch dimension only stacks them.  Noise
-    channels depend on gate arity and qubits (never parameters), so within a
-    structurally aligned group they are derived once per position instead of
-    once per circuit.
+    Equivalence contract: compiled groups and template batches both run one
+    :class:`NoisySlotProgram` of fused per-slot superoperators, equal to the
+    sequential :class:`DensityMatrixSimulator` within ``1e-12`` per row and
+    bitwise deterministic per row (independent of the batch around it).
+    Noise channels depend on gate arity and qubits (never parameters), so a
+    slot's fused superoperator is built once per process and shared by every
+    row, group and template that repeats it.
     """
 
     #: soft cap on (batch * 4**n) elements of one density-matrix stack
@@ -313,19 +296,16 @@ class BatchedDensityRunner:
 
     def _run_group(self, jobs: Sequence[DensityJob], noise_model) -> None:
         self.batches_run += 1
-        n = jobs[0].n_reduced
-        rhos = zero_density_matrices(n, len(jobs))
-        n_instructions = len(jobs[0].reduced.instructions)
-        for position in range(n_instructions):
+        slots: List = []
+        for position, first in enumerate(jobs[0].reduced.instructions):
             instructions = [job.reduced.instructions[position] for job in jobs]
-            first = instructions[0]
             if all(inst.params == first.params for inst in instructions):
-                matrix = first.matrix()
+                slots.append(first)
             else:
-                matrix = np.stack([inst.matrix() for inst in instructions])
-            rhos = apply_unitary_batch(rhos, matrix, first.qubits)
-            for kraus_ops, qubits in noise_model.channels_for(first):
-                rhos = apply_kraus_batch(rhos, kraus_ops, qubits)
+                params = np.array([inst.params for inst in instructions])
+                slots.append((first.gate, first.qubits, params))
+        program = NoisySlotProgram(jobs[0].n_reduced, len(jobs), slots, noise_model)
+        rhos = program.run()
         for index, job in enumerate(jobs):
             job.noise_model = noise_model
             job.rho = rhos[index]
@@ -337,27 +317,13 @@ class BatchedDensityRunner:
         job.noise_model = noise_model
         n = job.n_reduced
         n_rows = binding.n_rows
+        program = NoisySlotProgram(n, n_rows, binding.slots, noise_model)
         max_batch = max(1, self.MAX_STACK_ELEMENTS // 4**n)
         chunks: List[np.ndarray] = []
         for start in range(0, n_rows, max_batch):
-            stop = min(start + max_batch, n_rows)
             self.batches_run += 1
             self.template_batches_run += 1
-            rhos = zero_density_matrices(n, stop - start)
-            for slot in binding.slots:
-                if type(slot) is Instruction:
-                    representative = slot
-                    matrix = slot.matrix()
-                else:
-                    gate, qubits, params = slot
-                    # the noise channels only read gate arity and qubits, so
-                    # one representative instruction serves the whole slot
-                    representative = Instruction(gate, qubits, tuple(params[0]))
-                    matrix = _batched_gate_matrices(gate, params[start:stop])
-                rhos = apply_unitary_batch(rhos, matrix, representative.qubits)
-                for kraus_ops, qubits in noise_model.channels_for(representative):
-                    rhos = apply_kraus_batch(rhos, kraus_ops, qubits)
-            chunks.append(rhos)
+            chunks.append(program.run(start, min(start + max_batch, n_rows)))
         job.rhos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 

@@ -14,7 +14,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import QuantumCircuit
+from .circuit import Instruction, QuantumCircuit
+from .gates import gate_matrix, gate_num_params
 from .operators import PauliSum
 
 __all__ = [
@@ -24,6 +25,8 @@ __all__ = [
     "apply_unitary_batch",
     "apply_kraus",
     "apply_kraus_batch",
+    "slot_superoperator",
+    "NoisySlotProgram",
     "density_probabilities",
     "density_probabilities_batch",
     "expectation_pauli_sum_dm",
@@ -165,6 +168,20 @@ def _apply_front_matrix(
     return out.reshape(moved.shape).transpose(inverse)
 
 
+def _apply_rowwise_matrix(
+    rhos: np.ndarray, operator: np.ndarray, axes: Tuple[int, ...]
+) -> np.ndarray:
+    """:func:`_apply_front_matrix` as one ``(D, D) @ (D, rest)`` per batch row.
+
+    Every BLAS call sees the same shapes whatever the batch size, so a row's
+    floats do not depend on the rows stacked beside it.
+    """
+    perm, inverse = _front_permutation(rhos.ndim, (0,) + axes)
+    moved = rhos.transpose(perm)
+    flat = moved.reshape(rhos.shape[0], operator.shape[0], -1)
+    return (operator @ flat).reshape(moved.shape).transpose(inverse)
+
+
 def _apply_side_batch(
     rhos: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], side: str
 ) -> np.ndarray:
@@ -235,6 +252,217 @@ def apply_kraus_batch(
     return _apply_front_matrix(rhos, superop.reshape(dim * dim, dim * dim), axes)
 
 
+# ---------------------------------------------------------------------------
+# Fused noisy slot programs
+#
+# A noisy circuit is a sequence of *slots*: one gate plus the Kraus channels
+# the noise model attaches after it.  Every channel of a slot acts on the
+# gate's own qubits, so the whole slot is one local superoperator on the
+# (ket, bra) axes of those 1-2 qubits.  :class:`NoisySlotProgram` lowers a
+# slot sequence to one contraction per fixed slot, and lowers each
+# parametric RZ to an elementwise per-row phase on ``vec(rho)``; the noise of
+# an RZ is deferred into the next fixed superoperator on its qubit (exact:
+# the slots in between act on other qubits).
+# ---------------------------------------------------------------------------
+
+#: fused slot superoperators memoized process-wide by (gate, params, qubits,
+#: Kraus-tuple identities of the deferred and the slot's own channels).  The
+#: channel constructors in repro.noise.channels are memoized, so a device
+#: yields a few dozen distinct keys.  Entries keep strong references to the
+#: channel lists so CPython cannot recycle a keyed id; values are read-only.
+_SLOT_SUPEROP_CACHE: dict = {}
+
+#: tolerance of the trace-preservation invariant checked on every build
+TRACE_PRESERVING_ATOL = 1e-12
+
+Channels = Sequence[Tuple[Sequence[np.ndarray], Tuple[int, ...]]]
+
+
+def _channels_key(channels: Channels) -> Tuple:
+    return tuple((id(kraus_ops), tuple(qubits)) for kraus_ops, qubits in channels)
+
+
+def _check_trace_preserving(
+    superop: np.ndarray, gate: Optional[str], qubits: Tuple[int, ...],
+    channels: Channels,
+) -> None:
+    """Raise unless ``sum_a S[(a,a),(a',b')] == delta_{a'b'}``."""
+    dim = 2 ** len(qubits)
+    traced = np.trace(superop.reshape(dim, dim, dim, dim), axis1=0, axis2=1)
+    deviation = float(np.max(np.abs(traced - np.eye(dim))))
+    if deviation <= TRACE_PRESERVING_ATOL:
+        return
+    culprit = f"gate {gate!r}"
+    for kraus_ops, channel_qubits in channels:
+        local = kraus_ops[0].shape[1]
+        completeness = sum(kraus.conj().T @ kraus for kraus in kraus_ops)
+        if np.max(np.abs(completeness - np.eye(local))) > TRACE_PRESERVING_ATOL:
+            culprit = (
+                f"{len(kraus_ops)}-operator Kraus channel on qubits "
+                f"{tuple(channel_qubits)}"
+            )
+            break
+    raise ValueError(
+        f"fused superoperator of {gate or 'noise'} on qubits {qubits} is not "
+        f"trace-preserving (deviation {deviation:.3g}): {culprit}"
+    )
+
+
+def slot_superoperator(
+    gate: Optional[str],
+    params: Tuple[float, ...],
+    qubits: Tuple[int, ...],
+    channels: Channels,
+    pre_channels: Channels = (),
+) -> np.ndarray:
+    """The ``(4**k, 4**k)`` superoperator of one noisy slot on ``qubits``.
+
+    Applies ``pre_channels``, then the gate (skipped when ``gate`` is
+    ``None``), then ``channels`` — every channel must act within ``qubits``.
+    Built once per memo key by evolving the basis ``|a'><b'|`` of the
+    slot's own register through :func:`apply_unitary_batch` /
+    :func:`apply_kraus_batch`, so ``S[:, (a', b')]`` is the image of that
+    basis element and the matrix contracts ``(ket..., bra...)`` axes in
+    ``qubits`` order.  Raises ``ValueError`` if the result is not
+    trace-preserving.
+    """
+    key = (gate, params, qubits, _channels_key(pre_channels), _channels_key(channels))
+    entry = _SLOT_SUPEROP_CACHE.get(key)
+    if entry is not None:
+        return entry[1]
+    k = len(qubits)
+    dim = 2**k
+    local = {qubit: index for index, qubit in enumerate(qubits)}
+    basis = np.eye(dim * dim, dtype=complex).reshape((dim * dim,) + (2,) * (2 * k))
+    for kraus_ops, channel_qubits in pre_channels:
+        basis = apply_kraus_batch(
+            basis, kraus_ops, tuple(local[q] for q in channel_qubits)
+        )
+    if gate is not None:
+        basis = apply_unitary_batch(basis, gate_matrix(gate, params), tuple(range(k)))
+    for kraus_ops, channel_qubits in channels:
+        basis = apply_kraus_batch(
+            basis, kraus_ops, tuple(local[q] for q in channel_qubits)
+        )
+    superop = np.ascontiguousarray(basis.reshape(dim * dim, dim * dim).T)
+    _check_trace_preserving(
+        superop, gate, qubits, tuple(pre_channels) + tuple(channels)
+    )
+    superop.flags.writeable = False
+    if len(_SLOT_SUPEROP_CACHE) >= 1024:
+        _SLOT_SUPEROP_CACHE.clear()
+    _SLOT_SUPEROP_CACHE[key] = ((pre_channels, channels), superop)
+    return superop
+
+
+class NoisySlotProgram:
+    """A noisy circuit lowered to one batched step per slot.
+
+    ``slots`` is a sequence of shared :class:`~repro.quantum.circuit.
+    Instruction` objects (the same gate on every row) or ``(gate, qubits,
+    params)`` triples whose ``(n_rows, k)`` ``params`` hold one row of
+    angles per batch row.  ``noise_model`` supplies ``channels_for``.  Steps:
+
+    * a fixed gate and its channels (plus any RZ noise deferred onto its
+      qubits) become one memoized :func:`slot_superoperator` contraction;
+    * an RZ becomes the elementwise phase ``[[1, e^{-i theta}], [e^{i theta},
+      1]]`` on its (ket, bra) axes; its noise is deferred to the next fixed
+      slot on the qubit, or applied alone before the qubit's next RZ or at
+      the end.  RZ is the one parametric gate of the CX/SX/RZ/X basis every
+      compiled circuit is lowered to; other parametric slots are rejected.
+
+    Every step acts on each row independently, so a row's result does not
+    depend on which other rows share its batch.
+    """
+
+    __slots__ = ("n_qubits", "n_rows", "steps")
+
+    def __init__(
+        self, n_qubits: int, n_rows: int, slots: Sequence, noise_model
+    ) -> None:
+        n = self.n_qubits = int(n_qubits)
+        self.n_rows = int(n_rows)
+        self.steps: list = []
+        channel_memo: dict = {}
+        # program-local memo in front of the process-wide one: a hit skips
+        # building the Kraus-identity key
+        superop_memo: dict = {}
+        deferred: set = set()  # qubits whose last RZ's noise is not applied yet
+        thetas: list = []  # per RZ step: (step index, qubit, angle or angles)
+
+        def channels(gate: str, qubits: Tuple[int, ...]):
+            found = channel_memo.get((gate, qubits))
+            if found is None:
+                found = tuple(noise_model.channels_for(
+                    Instruction(gate, qubits, (0.0,) * gate_num_params(gate))
+                ))
+                channel_memo[(gate, qubits)] = found
+            return found
+
+        def add_superop(gate, params, qubits, pre_qubits) -> None:
+            key = (gate, params, qubits, pre_qubits)
+            superop = superop_memo.get(key)
+            if superop is None:
+                pre = tuple(
+                    channel for q in pre_qubits for channel in channels("rz", (q,))
+                )
+                own = channels(gate, qubits) if gate is not None else ()
+                superop = slot_superoperator(gate, params, qubits, own, pre)
+                superop_memo[key] = superop
+            axes = tuple(1 + q for q in qubits) + tuple(1 + n + q for q in qubits)
+            self.steps.append((superop, axes))
+
+        def flush(qubit: int) -> None:
+            if qubit in deferred:
+                deferred.discard(qubit)
+                if channels("rz", (qubit,)):
+                    add_superop(None, (), (qubit,), (qubit,))
+
+        for slot in slots:
+            if type(slot) is Instruction:
+                gate, qubits, params = slot.gate, slot.qubits, None
+            else:
+                gate, qubits, params = slot
+                qubits = tuple(qubits)
+            if gate == "rz":
+                flush(qubits[0])
+                angle = slot.params[0] if params is None else params[:, 0]
+                thetas.append((len(self.steps), qubits[0], angle))
+                self.steps.append(None)
+                deferred.add(qubits[0])
+            elif params is None:
+                pre_qubits = tuple(q for q in qubits if q in deferred)
+                deferred.difference_update(qubits)
+                add_superop(gate, slot.params, qubits, pre_qubits)
+            else:
+                raise ValueError(f"parametric {gate!r} slot: only rz may vary per row")
+        for qubit in sorted(deferred):
+            flush(qubit)
+
+        # every RZ phase of the program in one vectorized pass
+        angles = np.empty((len(thetas), self.n_rows))
+        for index, (_, _, angle) in enumerate(thetas):
+            angles[index] = angle
+        phases = np.ones((len(thetas), self.n_rows, 2, 2), dtype=complex)
+        phases[:, :, 0, 1] = np.exp(-1j * angles)
+        phases[:, :, 1, 0] = phases[:, :, 0, 1].conj()
+        for index, (position, qubit, _) in enumerate(thetas):
+            shape = [self.n_rows] + [1] * (2 * n)
+            shape[1 + qubit] = shape[1 + n + qubit] = 2
+            self.steps[position] = (phases[index].reshape(shape), None)
+
+    def run(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Evolve ``|0..0><0..0|`` for rows ``start:stop``; ``(rows,) + (2,)*2n``."""
+        stop = self.n_rows if stop is None else stop
+        rhos = zero_density_matrices(self.n_qubits, stop - start)
+        for operand, axes in self.steps:
+            if axes is None:  # an RZ phase, one per row
+                rhos *= operand[start:stop]
+            else:
+                rhos = _apply_rowwise_matrix(rhos, operand, axes)
+        return rhos
+
+
 def density_probabilities_batch(rhos: np.ndarray) -> np.ndarray:
     """Per-sample computational-basis probabilities, shape ``(batch, 2**n)``.
 
@@ -279,8 +507,6 @@ def expectation_z_all_dm(rho: np.ndarray) -> np.ndarray:
 
 def expectation_pauli_sum_dm(rho: np.ndarray, observable: PauliSum) -> float:
     """``Tr(H rho)`` for a Pauli-sum observable."""
-    from .gates import gate_matrix
-
     n = rho.ndim // 2
     total = 0.0
     for term in observable.terms:

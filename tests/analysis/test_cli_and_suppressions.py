@@ -1,6 +1,7 @@
 """CLI surface, exit-code policy, suppression parsing, and the self-clean
 gate the CI lint lane relies on."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -172,3 +173,40 @@ def test_boundary_marker_lines_are_collected():
 def test_marker_inside_string_is_not_a_marker():
     _, markers = parse_suppressions('text = "# repro: pickle-boundary"\n')
     assert not markers
+
+
+def test_doc_comment_quoting_a_directive_is_not_a_directive():
+    """Only a comment that *opens* with a directive is one: a ``#:`` doc
+    comment quoting either directive neither marks nor suppresses."""
+    table, markers = parse_suppressions(
+        "#: payloads carry a ``# repro: pickle-boundary`` marker\n"
+        "work: object = None\n"
+        "#: silence with ``# repro: ignore[det-wall-clock]`` and a reason\n"
+        "x = 1\n"
+        "y = 2  # see `# repro: ignore[det-global-rng]` above\n"
+    )
+    assert not markers
+    assert not table
+    assert not is_suppressed(table, 4, "det-wall-clock")
+    assert not is_suppressed(table, 5, "det-global-rng")
+
+
+def _class_lines(source):
+    """Line numbers of every class definition and its decorators."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            lines.add(node.lineno)
+            lines.update(deco.lineno for deco in node.decorator_list)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "relative", ["analysis/project.py", "execution/shards.py"]
+)
+def test_real_boundary_markers_sit_on_class_lines(relative):
+    """Both files quote the marker in doc comments; only the real standalone
+    markers may count, and each annotates a class."""
+    source = (SRC_REPRO / relative).read_text()
+    _, markers = parse_suppressions(source)
+    assert markers <= _class_lines(source), sorted(markers - _class_lines(source))
